@@ -1,42 +1,31 @@
-"""Engine benchmark: the execution engines head-to-head.
+"""Engine benchmark: the cold naive path against the warm batched path.
 
 Replays the E1 (decision rounds vs n) and E6 (counting) workloads in
-four modes:
+two modes:
 
-* ``naive``      — what every run cost before the execution engine: a
-  cold ``compile_formula`` per grid point (no table reuse between
-  points) and the round-by-round naive scheduler.
-* ``batched``    — the engine path: one shared, pre-warmed
-  :class:`repro.algebra.cache.AutomatonCache` (compiled automata, warm
-  transition tables, stable class ids) and the batched scheduler.
-* ``vectorized`` — the batched path plus the
-  :class:`repro.algebra.tables.TabulatedAutomaton` kernel: hash-consed
-  integer state ids, dense transition tables, digest-memoized joins.
-* ``minimized``  — the batched path plus the
-  :mod:`repro.algebra.minimize` state-space reduction: every kernel
-  state is canonicalized to one representative per accept-behavior
-  class, so the batched scheduler's per-op caches collapse onto a far
-  smaller working set.  (The vectorized kernel already tabulates every
-  join, so minimization buys it little warm — the batched engine, the
-  Session default, is where the reduction pays.)
+* ``naive``   — what every run cost before the execution engine: a cold
+  ``compile_formula`` per grid point (no table reuse between points)
+  and the round-by-round naive scheduler.
+* ``batched`` — the engine path: one shared, pre-warmed
+  :class:`repro.algebra.cache.AutomatonCache` (compiled automata with
+  warm id-keyed transition tables and join memos, stable class ids)
+  and the batched scheduler.
 
-All modes run the exact same grid through
+Both modes run the exact same grid through
 :func:`repro.congest.parallel.run_sweep`, so per-point seeds are the
-sweep's deterministic shard seeds.  Verdicts are cross-checked between
-modes — a speedup that changes an answer is a bug, not a result.  The
-first three modes pin ``minimize=False`` and must agree on rounds too;
-``minimized`` legitimately changes the transcript (it is a run-config
-change), so only its answers are cross-checked.
+sweep's deterministic shard seeds.  The two schedulers are
+byte-identical, so verdicts *and* rounds are cross-checked between
+modes — a speedup that changes an answer is a bug, not a result.
 
-Three speedups are reported per experiment: ``speedup`` (naive over
-batched, the historical engine gate), ``vectorized_speedup``
-(batched over vectorized, the kernel gate), and ``minimized_speedup``
-(batched over batched-with-minimization, the state-reduction gate).
-E6's counting joins are merge-dominated, so the vectorized kernel must
-win big there (>= 3x warm) and minimization must too (>= 1.5x: three
-quarters of its reachable states collapse); E1's decide workload is
-elimination-bound, so all kernels only have to not lose (>= 1x minus a
-noise margin).
+Method: CPU time (``time.process_time``), so other processes on a
+shared host do not count.  One *sample* of a mode runs the whole grid
+``inner`` times, with ``inner`` calibrated per mode so every sample
+takes at least ``MIN_SAMPLE_S`` (200 ms); the
+``repeats`` samples of the two modes are interleaved (naive, batched,
+naive, batched, ...) so slow stretches of the host hit both modes
+alike.  Reported: per-sweep medians, ``speedup`` = naive median over
+batched median, and each mode's spread ((max - min) / median over its
+samples).
 
 Usage::
 
@@ -44,27 +33,32 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke     # CI gate
 
 The full run writes ``BENCH_engine.json`` at the repo root and fails if
-either experiment's speedup drops below its threshold; ``--smoke``
-shrinks the grid and only requires the faster modes to not be slower,
-which is the CI perf gate.
+either experiment's speedup drops below 1.5x; ``--smoke`` shrinks the
+grid and only requires batched to not be slower, which is the CI perf
+gate (``repro bench check`` then compares it with the committed
+baseline).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import sys
 import time
 
 from repro.algebra import AutomatonCache, compile_formula
-from repro.algebra.minimize import minimized_automaton
 from repro.congest.parallel import run_sweep
 from repro.distributed import count_pipeline, decide_pipeline
 from repro.graph import generators as gen
 from repro.mso import formulas
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Minimum CPU seconds per timed sample of one mode.
+MIN_SAMPLE_S = 0.2
 
 # Shared state for the (module-level, hence picklable) sweep workers.
 _CACHE: AutomatonCache = AutomatonCache(persist=False)
@@ -84,110 +78,44 @@ def _graph(params):
     )
 
 
-def _decide_cached(params, engine, minimize=False):
-    automaton, codec = _CACHE.automaton_with_codec(
-        _decide_formula(), (), d=params["d"], labels=()
-    )
-    out = decide_pipeline(
-        automaton, _graph(params), params["d"], codec=codec, engine=engine,
-        minimize=minimize,
-    )
-    return {"verdict": out.accepted, "rounds": out.total_rounds}
-
-
-def _count_cached(params, engine, minimize=False):
-    formula, variables = _count_formula()
-    automaton, codec = _CACHE.automaton_with_codec(
-        formula, variables, d=params["d"], labels=()
-    )
-    out = count_pipeline(
-        automaton, _graph(params), params["d"], codec=codec, engine=engine,
-        minimize=minimize,
-    )
-    return {"verdict": out.count, "rounds": out.total_rounds}
-
-
 def decide_naive_worker(params):
     automaton = compile_formula(_decide_formula())  # cold per point
-    out = decide_pipeline(
-        automaton, _graph(params), params["d"], engine="naive",
-        minimize=False,
-    )
+    out = decide_pipeline(automaton, _graph(params), params["d"],
+                          engine="naive")
     return {"verdict": out.accepted, "rounds": out.total_rounds}
 
 
 def decide_batched_worker(params):
-    return _decide_cached(params, "batched")
-
-
-def decide_vectorized_worker(params):
-    return _decide_cached(params, "vectorized")
-
-
-def decide_minimized_worker(params):
-    return _decide_cached(params, "batched", minimize=True)
+    automaton, codec = _CACHE.automaton_with_codec(
+        _decide_formula(), (), d=params["d"], labels=()
+    )
+    out = decide_pipeline(automaton, _graph(params), params["d"],
+                          codec=codec, engine="batched")
+    return {"verdict": out.accepted, "rounds": out.total_rounds}
 
 
 def count_naive_worker(params):
     formula, variables = _count_formula()
     automaton = compile_formula(formula, variables)  # cold per point
-    out = count_pipeline(
-        automaton, _graph(params), params["d"], engine="naive",
-        minimize=False,
-    )
+    out = count_pipeline(automaton, _graph(params), params["d"],
+                         engine="naive")
     return {"verdict": out.count, "rounds": out.total_rounds}
 
 
 def count_batched_worker(params):
-    return _count_cached(params, "batched")
-
-
-def count_vectorized_worker(params):
-    return _count_cached(params, "vectorized")
-
-
-def count_minimized_worker(params):
-    return _count_cached(params, "batched", minimize=True)
-
-
-def _minimize_stats(name, d):
-    """Before/after state counts for an experiment's minimized kernel."""
-    if name == "E1":
-        automaton, _ = _CACHE.automaton_with_codec(
-            _decide_formula(), (), d=d, labels=()
-        )
-    else:
-        formula, variables = _count_formula()
-        automaton, _ = _CACHE.automaton_with_codec(
-            formula, variables, d=d, labels=()
-        )
-    wrapper = minimized_automaton(automaton, d=d, labels=())
-    return wrapper.stats if wrapper is not None else None
+    formula, variables = _count_formula()
+    automaton, codec = _CACHE.automaton_with_codec(
+        formula, variables, d=params["d"], labels=()
+    )
+    out = count_pipeline(automaton, _graph(params), params["d"],
+                         codec=codec, engine="batched")
+    return {"verdict": out.count, "rounds": out.total_rounds}
 
 
 EXPERIMENTS = {
-    "E1": (decide_naive_worker, decide_batched_worker,
-           decide_vectorized_worker, decide_minimized_worker),
-    "E6": (count_naive_worker, count_batched_worker,
-           count_vectorized_worker, count_minimized_worker),
+    "E1": (decide_naive_worker, decide_batched_worker),
+    "E6": (count_naive_worker, count_batched_worker),
 }
-
-#: Minimum batched-over-vectorized speedup per experiment (full mode).
-#: E6's counting joins are merge-dominated — the dense-table kernel must
-#: deliver; E1 is elimination-bound, so the bar is parity minus a 10%
-#: timing-noise margin (single-CPU runs land between 0.99x and 1.1x).
-VECTORIZED_THRESHOLDS = {"E1": 0.9, "E6": 3.0}
-#: In smoke mode (tiny grid, one repeat) only guard against the kernel
-#: being meaningfully slower; absolute times are sub-millisecond noise.
-VECTORIZED_SMOKE_THRESHOLD = 0.8
-#: Minimum batched-over-minimized speedup (full mode).  E6's
-#: triangle-assignment kernel collapses ~74% of its reachable states, so
-#: minimization must pay for its canonicalization lookups several times
-#: over; E1's h-freeness kernel is already small, so parity suffices.
-MINIMIZED_THRESHOLDS = {"E1": 0.9, "E6": 1.5}
-MINIMIZED_SMOKE_THRESHOLD = 0.8
-#: Minimum reachable-to-minimized state reduction (full mode, E6).
-REDUCTION_THRESHOLD = 0.30
 
 
 def _grid(smoke):
@@ -195,138 +123,94 @@ def _grid(smoke):
     return [{"n": n, "d": 3} for n in sizes]
 
 
-def _timed_sweep(worker, grid, repeats):
-    best = None
+def _sample(worker, grid, inner):
+    """CPU seconds per sweep over ``inner`` sweeps, and the last results."""
     results = None
-    for _ in range(repeats):
-        start = time.perf_counter()
+    start = time.process_time()
+    for _ in range(inner):
         results = run_sweep(worker, grid, seed=0)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, results
+    return (time.process_time() - start) / inner, results
+
+
+def _spread(samples):
+    return round((max(samples) - min(samples)) / statistics.median(samples), 4)
 
 
 def run_experiment(name, grid, repeats):
-    (naive_worker, batched_worker,
-     vectorized_worker, minimized_worker) = EXPERIMENTS[name]
-    # Pre-warm the cache: one compile + one throwaway run per engine,
-    # exactly what a prior process would have left on disk (the
-    # vectorized warm-up also populates the kernel's dense tables, the
-    # minimized warm-up additionally memoizes the quotient map).
-    _timed_sweep(batched_worker, grid[:1], 1)
-    _timed_sweep(vectorized_worker, grid[:1], 1)
-    _timed_sweep(minimized_worker, grid[:1], 1)
-    naive_seconds, naive_results = _timed_sweep(naive_worker, grid, repeats)
-    batched_seconds, batched_results = _timed_sweep(
-        batched_worker, grid, repeats
-    )
-    vectorized_seconds, vectorized_results = _timed_sweep(
-        vectorized_worker, grid, repeats
-    )
-    minimized_seconds, minimized_results = _timed_sweep(
-        minimized_worker, grid, repeats
-    )
-    for mode, results in (("batched", batched_results),
-                          ("vectorized", vectorized_results)):
-        for a, b in zip(naive_results, results):
-            if a.value != b.value:
-                raise SystemExit(
-                    f"{name}: {mode} mode changed the answer at "
-                    f"{a.shard.params!r}: {a.value!r} != {b.value!r}"
-                )
-    # Minimization changes the transcript (rounds), never the answer.
-    for a, b in zip(naive_results, minimized_results):
-        if a.value["verdict"] != b.value["verdict"]:
+    workers = dict(zip(("naive", "batched"), EXPERIMENTS[name]))
+    # Pre-warm the cache, exactly what a prior process would have left
+    # on disk, then calibrate on one sweep per mode.
+    run_sweep(workers["batched"], grid, seed=0)
+    inner = {
+        mode: max(1, math.ceil(MIN_SAMPLE_S / max(_sample(worker, grid, 1)[0],
+                                                1e-6)))
+        for mode, worker in workers.items()
+    }
+    samples = {mode: [] for mode in workers}
+    results = {}
+    for _ in range(repeats):
+        for mode, worker in workers.items():
+            seconds, results[mode] = _sample(worker, grid, inner[mode])
+            samples[mode].append(seconds)
+    for a, b in zip(results["naive"], results["batched"]):
+        if a.value != b.value:
             raise SystemExit(
-                f"{name}: minimized mode changed the answer at "
-                f"{a.shard.params!r}: {a.value['verdict']!r} != "
-                f"{b.value['verdict']!r}"
+                f"{name}: batched mode changed the answer at "
+                f"{a.shard.params!r}: {a.value!r} != {b.value!r}"
             )
-    stats = _minimize_stats(name, grid[0]["d"])
+    naive = statistics.median(samples["naive"])
+    batched = statistics.median(samples["batched"])
     return {
         "grid": [dict(point) for point in grid],
         "repeats": repeats,
-        "naive_seconds": round(naive_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
-        "vectorized_seconds": round(vectorized_seconds, 4),
-        "minimized_seconds": round(minimized_seconds, 4),
-        "speedup": round(naive_seconds / batched_seconds, 2),
-        "vectorized_speedup": round(
-            batched_seconds / vectorized_seconds, 2
-        ),
-        "minimized_speedup": round(
-            batched_seconds / minimized_seconds, 2
-        ),
-        "states_total": stats.states_total if stats else 0,
-        "states_reachable": stats.states_reachable if stats else 0,
-        "states_minimized": stats.states_minimized if stats else 0,
-        "state_reduction": round(stats.reduction, 4) if stats else 0.0,
-        "checks": [r.value for r in naive_results],
+        "inner": inner,
+        "naive_seconds": round(naive, 4),
+        "batched_seconds": round(batched, 4),
+        "naive_spread": _spread(samples["naive"]),
+        "batched_spread": _spread(samples["batched"]),
+        "speedup": round(naive / batched, 2),
+        "checks": [r.value for r in results["naive"]],
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="small grid, lenient thresholds (CI perf gate)")
+                        help="small grid, lenient threshold (CI perf gate)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repetitions per mode (min is kept)")
+                        help="interleaved samples per mode (median is "
+                             "kept; default 5)")
     parser.add_argument("--out", default=None,
                         help="result JSON path (full runs only; default "
                              "BENCH_engine.json at the repo root)")
     args = parser.parse_args(argv)
 
     threshold = 1.0 if args.smoke else 1.5
-    repeats = args.repeats or (1 if args.smoke else 3)
+    repeats = args.repeats or 5
     grid = _grid(args.smoke)
 
     report = {
         "benchmark": "engine",
         "mode": "smoke" if args.smoke else "full",
+        "method": "process_time, interleaved modes, median of samples "
+                  f">= {MIN_SAMPLE_S}s",
         "threshold_speedup": threshold,
-        "threshold_vectorized": (
-            VECTORIZED_SMOKE_THRESHOLD if args.smoke
-            else dict(VECTORIZED_THRESHOLDS)
-        ),
-        "threshold_minimized": (
-            MINIMIZED_SMOKE_THRESHOLD if args.smoke
-            else dict(MINIMIZED_THRESHOLDS)
-        ),
         "experiments": {},
     }
     failed = []
     for name in EXPERIMENTS:
         result = run_experiment(name, grid, repeats)
         report["experiments"][name] = result
-        vec_threshold = (
-            VECTORIZED_SMOKE_THRESHOLD if args.smoke
-            else VECTORIZED_THRESHOLDS[name]
-        )
-        min_threshold = (
-            MINIMIZED_SMOKE_THRESHOLD if args.smoke
-            else MINIMIZED_THRESHOLDS[name]
-        )
-        slow = (result["speedup"] < threshold
-                or result["vectorized_speedup"] < vec_threshold
-                or result["minimized_speedup"] < min_threshold)
-        # The state-heavy counting experiment must also actually shrink.
-        if (name == "E6" and not args.smoke
-                and result["state_reduction"] < REDUCTION_THRESHOLD):
-            slow = True
+        slow = result["speedup"] < threshold
         if slow:
             failed.append(name)
-        status = "SLOW" if slow else "ok"
-        print(f"{name}: naive {result['naive_seconds']}s, "
+        print(f"{name}: naive {result['naive_seconds']}s "
+              f"(spread {result['naive_spread']}), "
               f"batched {result['batched_seconds']}s "
-              f"(speedup {result['speedup']}x, need >= {threshold}x), "
-              f"vectorized {result['vectorized_seconds']}s "
-              f"(speedup {result['vectorized_speedup']}x, need >= "
-              f"{vec_threshold}x), "
-              f"minimized {result['minimized_seconds']}s "
-              f"(speedup {result['minimized_speedup']}x, need >= "
-              f"{min_threshold}x; states "
-              f"{result['states_reachable']}->{result['states_minimized']}) "
-              f"[{status}]")
+              f"(spread {result['batched_spread']}), "
+              f"speedup {result['speedup']}x, need >= {threshold}x "
+              f"[{result['repeats']} samples of {result['inner']} sweeps; "
+              f"{'SLOW' if slow else 'ok'}]")
 
     if not args.smoke or args.out:
         out = args.out or os.path.join(REPO_ROOT, "BENCH_engine.json")

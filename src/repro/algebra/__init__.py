@@ -30,15 +30,6 @@ from .cache import (
     transition_table_bytes,
 )
 from .compiler import compile_formula, compile_with_singletons
-from .minimize import (
-    MinimizationBudget,
-    MinimizationStats,
-    MinimizedAutomaton,
-    graph_label_alphabet,
-    minimization_stats,
-    minimize_automaton,
-    minimized_automaton,
-)
 from .engine import (
     OptimizationResult,
     check,
@@ -47,7 +38,6 @@ from .engine import (
     optimize,
     run_states,
 )
-from .tables import TabulatedAutomaton, tabulated
 from .symbols import (
     BaseStructure,
     BaseSymbol,
@@ -67,14 +57,10 @@ __all__ = [
     "BaseStructure", "BaseSymbol", "ComplementAutomaton", "ConstAutomaton",
     "EdgeWitnessAutomaton", "EndpointsInAutomaton", "HasLabelAutomaton",
     "IncCountsAutomaton", "IntersectsAutomaton", "NonEmptyAutomaton",
-    "MinimizationBudget", "MinimizationStats", "MinimizedAutomaton",
     "OptimizationResult", "ProductAutomaton", "ProjectionAutomaton",
     "SingletonAutomaton", "State", "SubsetAutomaton", "SymbolChoice",
-    "TabulatedAutomaton", "TreeAutomaton", "base_structure", "check",
+    "TreeAutomaton", "base_structure", "check",
     "check_assignment",
     "compile_formula", "count", "enumerate_symbol_choices", "extend_symbol",
-    "graph_label_alphabet", "minimization_stats", "minimize_automaton",
-    "minimized_automaton",
     "optimize", "owned_items", "run_states", "symbol_for_assignment",
-    "tabulated",
 ]

@@ -4,21 +4,35 @@ An automaton assigns every w-terminal graph (assembled from Base / Glue /
 Forget symbols) a *state*; states are exactly the paper's homomorphism
 classes (Definition 4.1): condition 1 holds because acceptance is a
 function of the state, condition 2 because ``glue``/``forget`` are the
-update functions ⊙_f.  The set of classes 𝒞 is materialized lazily — every
-state ever produced is interned, so ``num_classes`` reports |𝒞_reachable|
-and ``intern`` provides the O(log |𝒞|)-bit message encoding used by the
-CONGEST protocols.
+update functions ⊙_f.  The set of classes 𝒞 is materialized lazily.
+
+Every state is **hash-consed** into a dense integer id the first time a
+transition produces it, and the public transition API — ``leaf``,
+``glue``, ``forget``, ``accepts`` — works on those ids only, backed by
+id-keyed dict tables.  ``num_classes`` is therefore |𝒞_reachable| and a
+state id is already the O(log |𝒞|)-bit message encoding used by the
+CONGEST protocols.  Subclasses implement the value-level hooks
+``_leaf`` / ``_glue`` / ``_forget`` / ``_accepts``; a hook is called at
+most once per distinct argument tuple.
 
 Atomic automata implement the MSO atoms; composites implement the logical
-connectives:
+connectives over their children's ids:
 
-* ``ProductAutomaton``    — conjunction / disjunction (state tuples),
-* ``ComplementAutomaton`` — negation (flip acceptance; states unchanged,
-  which is sound because every automaton here is deterministic),
+* ``ProductAutomaton``    — conjunction / disjunction (states are tuples
+  of child ids),
+* ``ComplementAutomaton`` — negation (flip acceptance; it delegates
+  its transitions to the inner automaton and shares its ids, which is
+  sound because every automaton here is deterministic),
 * ``ProjectionAutomaton`` — existential set/element quantification:
   the projected variable's bits are guessed at each Base symbol and the
   automaton is re-determinized on the fly by the subset construction
-  (states become frozensets of inner states).
+  (states are frozensets of inner ids).
+
+The base class also owns the whole-table joins the counting and
+optimization protocols replay (``merge_counts``, ``fold_forget_counts``,
+``merge_opt``, ``fold_forget_opt``) and the decision node fold
+(``fold_decide``), memoized by table digest so identical subtree joins
+cost one dictionary hit.
 """
 
 from __future__ import annotations
@@ -26,7 +40,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -43,56 +56,217 @@ from .symbols import BaseSymbol
 
 State = Hashable
 
+#: A COUNT table: (state id, number of partial assignments) pairs.
+CountTable = Tuple[Tuple[int, int], ...]
+#: An OPT table: (state id, best weight) pairs.
+OptTable = Tuple[Tuple[int, int], ...]
+
+#: Join-memo entries an automaton keeps before it empties the memo.
+JOIN_MEMO_LIMIT = 1 << 9
+
 
 class TreeAutomaton(ABC):
     """Deterministic bottom-up automaton over Base/Glue/Forget symbols."""
 
     def __init__(self, scope: Sequence[Var]):
         self.scope: Tuple[Var, ...] = tuple(scope)
-        self._leaf_cache: Dict[BaseSymbol, State] = {}
-        self._glue_cache: Dict[Tuple[int, State, State], State] = {}
-        self._forget_cache: Dict[Tuple[int, State], State] = {}
-        self._intern: Dict[State, int] = {}
+        self._states: List[State] = []  # id -> canonical state value
+        self._ids: Dict[State, int] = {}  # state value -> id
+        self._leaf_table: Dict[BaseSymbol, int] = {}
+        self._glue_table: Dict[Tuple[int, int, int], int] = {}
+        self._forget_table: Dict[Tuple[int, int], int] = {}
+        self._accepting: Dict[int, bool] = {}
+        self._digests: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        self._joins: Dict[Tuple[Any, ...], Any] = {}
 
-    # -- public transition API (cached + interning) --------------------
-    def leaf(self, symbol: BaseSymbol) -> State:
-        """State of the one-vertex graph introduced by ``symbol``."""
-        state = self._leaf_cache.get(symbol)
-        if state is None:
-            state = self._leaf(symbol)
-            self._leaf_cache[symbol] = state
-            self.intern(state)
-        return state
+    # -- hash-consing ---------------------------------------------------
+    def _id(self, state: State) -> int:
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self._states)
+            self._states.append(state)
+        return sid
 
-    def glue(self, boundary: int, s1: State, s2: State) -> State:
-        """State after identity-gluing two graphs with ``boundary`` terminals."""
-        key = (boundary, s1, s2)
-        state = self._glue_cache.get(key)
-        if state is None:
-            state = self._glue(boundary, s1, s2)
-            self._glue_cache[key] = state
-            self.intern(state)
-        return state
-
-    def forget(self, boundary: int, s: State) -> State:
-        """State after the deepest of ``boundary`` terminals becomes interior."""
-        key = (boundary, s)
-        state = self._forget_cache.get(key)
-        if state is None:
-            state = self._forget(boundary, s)
-            self._forget_cache[key] = state
-            self.intern(state)
-        return state
-
-    def intern(self, state: State) -> int:
-        """A stable small integer id for ``state`` (message encoding)."""
-        if state not in self._intern:
-            self._intern[state] = len(self._intern)
-        return self._intern[state]
+    def state_of(self, sid: int) -> State:
+        """The canonical state value behind id ``sid``."""
+        return self._states[sid]
 
     def num_classes(self) -> int:
         """|𝒞_reachable|: homomorphism classes materialized so far."""
-        return len(self._intern)
+        return len(self._states)
+
+    def table_entries(self) -> int:
+        """Materialized states and transitions (a warm-ness measure)."""
+        return (
+            len(self._states) + len(self._leaf_table) + len(self._glue_table)
+            + len(self._forget_table)
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The join memo is a per-process speed-up: never persisted.
+        state = self.__dict__.copy()
+        state["_digests"] = {}
+        state["_joins"] = {}
+        return state
+
+    # -- public transition API (ids in, ids out) -------------------------
+    def leaf(self, symbol: BaseSymbol) -> int:
+        """State id of the one-vertex graph introduced by ``symbol``."""
+        sid = self._leaf_table.get(symbol)
+        if sid is None:
+            sid = self._leaf_table[symbol] = self._id(self._leaf(symbol))
+        return sid
+
+    def glue(self, boundary: int, i: int, j: int) -> int:
+        """State id after identity-gluing two graphs with ``boundary`` terminals."""
+        key = (boundary, i, j)
+        sid = self._glue_table.get(key)
+        if sid is None:
+            states = self._states
+            sid = self._glue_table[key] = self._id(
+                self._glue(boundary, states[i], states[j])
+            )
+        return sid
+
+    def forget(self, boundary: int, i: int) -> int:
+        """State id after the deepest of ``boundary`` terminals becomes interior."""
+        key = (boundary, i)
+        sid = self._forget_table.get(key)
+        if sid is None:
+            sid = self._forget_table[key] = self._id(
+                self._forget(boundary, self._states[i])
+            )
+        return sid
+
+    def accepts(self, sid: int) -> bool:
+        """Is state ``sid`` an accepting class?  (Boundary must be empty.)"""
+        verdict = self._accepting.get(sid)
+        if verdict is None:
+            verdict = self._accepting[sid] = bool(
+                self._accepts(self._states[sid])
+            )
+        return verdict
+
+    # -- digest-memoized table joins --------------------------------------
+    #
+    # Each join iterates in the order of the tables it is given, so dict
+    # insertion order — and with it the order of first ClassCodec.encode
+    # calls downstream — is a function of the inputs alone.  A memo hit
+    # returns what the same loop produced earlier, so it is
+    # indistinguishable from a recomputation.  The memo keys carry the
+    # counts and weights, so traffic over ever-new graphs would grow it
+    # without bound: it is emptied once it holds JOIN_MEMO_LIMIT entries,
+    # left out of table_entries and pickles.
+
+    def _join_memo(self) -> Dict[Tuple[Any, ...], Any]:
+        """The join memo, emptied first when full.  Call it before taking
+        any digest: the digests go with it, since keys name tables by
+        digest."""
+        if len(self._joins) >= JOIN_MEMO_LIMIT:
+            self._joins.clear()
+            self._digests.clear()
+        return self._joins
+
+    def _digest(self, table: Tuple[Tuple[int, int], ...]) -> int:
+        """A small interned id naming one exact ordered table."""
+        digest = self._digests.get(table)
+        if digest is None:
+            digest = self._digests[table] = len(self._digests)
+        return digest
+
+    def merge_counts(
+        self, boundary: int, table: CountTable, child: CountTable
+    ) -> CountTable:
+        """COUNT merge: ``merged[glue(s1, s2)] += c1 * c2``."""
+        joins = self._join_memo()
+        key = ("cnt", boundary, self._digest(table), self._digest(child))
+        out = joins.get(key)
+        if out is None:
+            merged: Dict[int, int] = {}
+            get = merged.get
+            for s1, c1 in table:
+                for s2, c2 in child:
+                    s = self.glue(boundary, s1, s2)
+                    merged[s] = get(s, 0) + c1 * c2
+            out = joins[key] = tuple(merged.items())
+        return out
+
+    def fold_forget_counts(self, boundary: int, table: CountTable) -> CountTable:
+        """COUNT forget: ``forgotten[forget(s)] += c``."""
+        joins = self._join_memo()
+        key = ("fcnt", boundary, self._digest(table))
+        out = joins.get(key)
+        if out is None:
+            forgotten: Dict[int, int] = {}
+            get = forgotten.get
+            for s, c in table:
+                fs = self.forget(boundary, s)
+                forgotten[fs] = get(fs, 0) + c
+            out = joins[key] = tuple(forgotten.items())
+        return out
+
+    def merge_opt(
+        self, boundary: int, table: OptTable, child: OptTable, sign: int
+    ) -> Tuple[OptTable, Tuple[Tuple[int, Tuple[int, int]], ...]]:
+        """OPT merge with back-pointers; the first strictly better pair wins.
+
+        The tables must already be in the caller's iteration order (the
+        protocols sort by class id): the memo key is the exact ordered
+        content, so the tie-breaking winner is reproduced bit-for-bit.
+        """
+        joins = self._join_memo()
+        key = ("opt", sign, boundary, self._digest(table), self._digest(child))
+        out = joins.get(key)
+        if out is None:
+            merged: Dict[int, int] = {}
+            back: Dict[int, Tuple[int, int]] = {}
+            for s1, w1 in table:
+                for s2, w2 in child:
+                    s = self.glue(boundary, s1, s2)
+                    w = w1 + w2
+                    incumbent = merged.get(s)
+                    if incumbent is None or sign * w > sign * incumbent:
+                        merged[s] = w
+                        back[s] = (s1, s2)
+            out = joins[key] = (
+                tuple(merged.items()), tuple(back.items())
+            )
+        return out
+
+    def fold_forget_opt(
+        self, boundary: int, table: OptTable, sign: int
+    ) -> Tuple[OptTable, Tuple[Tuple[int, int], ...]]:
+        """OPT forget with back-pointers (same tie rule as the merge)."""
+        joins = self._join_memo()
+        key = ("fopt", sign, boundary, self._digest(table))
+        out = joins.get(key)
+        if out is None:
+            forgotten: Dict[int, int] = {}
+            back: Dict[int, int] = {}
+            for s, w in table:
+                fs = self.forget(boundary, s)
+                incumbent = forgotten.get(fs)
+                if incumbent is None or sign * w > sign * incumbent:
+                    forgotten[fs] = w
+                    back[fs] = s
+            out = joins[key] = (
+                tuple(forgotten.items()), tuple(back.items())
+            )
+        return out
+
+    def fold_decide(
+        self, boundary: int, leaf: int, child_ids: Tuple[int, ...]
+    ) -> int:
+        """Forget(Glue-chain(leaf, children)): one decision node's replay."""
+        joins = self._join_memo()
+        key = ("dec", boundary, leaf, child_ids)
+        sid = joins.get(key)
+        if sid is None:
+            sid = leaf
+            for cid in child_ids:
+                sid = self.glue(boundary, sid, cid)
+            sid = joins[key] = self.forget(boundary, sid)
+        return sid
 
     # -- to implement ---------------------------------------------------
     @abstractmethod
@@ -105,8 +279,8 @@ class TreeAutomaton(ABC):
     def _forget(self, boundary: int, s: State) -> State: ...
 
     @abstractmethod
-    def accepts(self, state: State) -> bool:
-        """Is ``state`` an accepting class?  (Boundary must be empty.)"""
+    def _accepts(self, state: State) -> bool:
+        """Is the state value accepting?  (Boundary must be empty.)"""
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +335,7 @@ class ConstAutomaton(ScanAutomaton):
     def _item_value(self, kind, bits, labels) -> State:
         return 0
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return self._value
 
 
@@ -181,7 +355,7 @@ class SingletonAutomaton(ScanAutomaton):
     def _item_value(self, kind, bits, labels) -> State:
         return 1 if self._index in bits else 0
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return state == 1
 
 
@@ -201,7 +375,7 @@ class IntersectsAutomaton(ScanAutomaton):
     def _item_value(self, kind, bits, labels) -> State:
         return self._i in bits and self._j in bits
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return bool(state)
 
 
@@ -222,7 +396,7 @@ class SubsetAutomaton(ScanAutomaton):
     def _item_value(self, kind, bits, labels) -> State:
         return self._a in bits and not any(b in bits for b in self._bs)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state
 
 
@@ -242,7 +416,7 @@ class NonEmptyAutomaton(ScanAutomaton):
     def _item_value(self, kind, bits, labels) -> State:
         return self._index in bits
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return bool(state)
 
 
@@ -268,7 +442,7 @@ class HasLabelAutomaton(ScanAutomaton):
         has = self._label in labels
         return (not has) if self._universal else has
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         # Universal mode tracks violations; existential mode tracks witnesses.
         return not state if self._universal else bool(state)
 
@@ -289,7 +463,7 @@ class AllVerticesInAutomaton(ScanAutomaton):
     def _item_value(self, kind, bits, labels) -> State:
         return kind == "v" and not any(i in bits for i in self._indices)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state
 
 
@@ -309,7 +483,7 @@ class AllEdgesInAutomaton(ScanAutomaton):
     def _item_value(self, kind, bits, labels) -> State:
         return kind == "e" and not any(i in bits for i in self._indices)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state
 
 
@@ -427,7 +601,7 @@ class EdgeWitnessAutomaton(PendingAutomaton):
     def _resolve(self, flag, pend_entry, last):
         return flag or bool(pend_entry & last)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return bool(state[0])
 
 
@@ -474,7 +648,7 @@ class IncCountsAutomaton(PendingAutomaton):
         total = min(self._cap, own + pend_entry)
         return flag or (in_scope and total not in self._allowed)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state[0]
 
 
@@ -517,7 +691,7 @@ class IncParityAutomaton(PendingAutomaton):
         in_scope, own = last
         return flag or (in_scope and (own + pend_entry) % 2 != self._target)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state[0]
 
 
@@ -580,7 +754,7 @@ class CliqueAutomaton(PendingAutomaton):
             last1 if last1 is not None else last2,
         )
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state[0][0]
 
 
@@ -615,7 +789,7 @@ class EndpointsInAutomaton(PendingAutomaton):
     def _resolve(self, flag, pend_entry, last):
         return flag or (pend_entry and not last)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state[0]
 
 
@@ -647,7 +821,7 @@ class GraphDegreesAutomaton(PendingAutomaton):
         total = min(self._cap, last + pend_entry)
         return flag or total not in self._allowed
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return not state[0]
 
 
@@ -804,7 +978,7 @@ class ContainsPatternAutomaton(TreeAutomaton):
         # boundary the deeper vertex is gone, its parent's Base is pending.
         return (False, frozenset(survivors), False)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return bool(state[0])
 
 
@@ -813,7 +987,8 @@ class ContainsPatternAutomaton(TreeAutomaton):
 # ----------------------------------------------------------------------
 
 class ProductAutomaton(TreeAutomaton):
-    """Componentwise product; acceptance is all/any of the children."""
+    """Componentwise product over tuples of child state ids; acceptance
+    is all/any of the children."""
 
     def __init__(
         self,
@@ -841,7 +1016,7 @@ class ProductAutomaton(TreeAutomaton):
             child.forget(boundary, a) for child, a in zip(self._children, s)
         )
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         verdicts = (
             child.accepts(a) for child, a in zip(self._children, state)
         )
@@ -849,28 +1024,41 @@ class ProductAutomaton(TreeAutomaton):
 
 
 class ComplementAutomaton(TreeAutomaton):
-    """Negation: same (deterministic) state space, flipped acceptance."""
+    """Negation: the inner automaton's ids and tables, flipped acceptance.
+
+    Every automaton here is deterministic, so the complement needs no id
+    space of its own: its transitions *are* the inner ones.
+    """
+
+    # Every transition is delegated, so no value-level hook ever runs.
+    _leaf = _glue = _forget = _accepts = None
 
     def __init__(self, scope: Sequence[Var], inner: TreeAutomaton):
         super().__init__(scope)
         self._inner = inner
 
-    def _leaf(self, symbol: BaseSymbol) -> State:
+    def state_of(self, sid: int) -> State:
+        return self._inner.state_of(sid)
+
+    def num_classes(self) -> int:
+        return self._inner.num_classes()
+
+    def leaf(self, symbol: BaseSymbol) -> int:
         return self._inner.leaf(symbol)
 
-    def _glue(self, boundary: int, s1: State, s2: State) -> State:
-        return self._inner.glue(boundary, s1, s2)
+    def glue(self, boundary: int, i: int, j: int) -> int:
+        return self._inner.glue(boundary, i, j)
 
-    def _forget(self, boundary: int, s: State) -> State:
-        return self._inner.forget(boundary, s)
+    def forget(self, boundary: int, i: int) -> int:
+        return self._inner.forget(boundary, i)
 
-    def accepts(self, state: State) -> bool:
-        return not self._inner.accepts(state)
+    def accepts(self, sid: int) -> bool:
+        return not self._inner.accepts(sid)
 
 
 class ProjectionAutomaton(TreeAutomaton):
     """∃X_i: guess the projected variable's bits at each Base symbol and
-    re-determinize by the subset construction."""
+    re-determinize by the subset construction (frozensets of inner ids)."""
 
     def __init__(self, inner: TreeAutomaton, var: Var):
         if not inner.scope or inner.scope[-1] != var:
@@ -894,7 +1082,7 @@ class ProjectionAutomaton(TreeAutomaton):
     def _forget(self, boundary: int, s: State) -> State:
         return frozenset(self._inner.forget(boundary, a) for a in s)
 
-    def accepts(self, state: State) -> bool:
+    def _accepts(self, state: State) -> bool:
         return any(self._inner.accepts(a) for a in state)
 
 

@@ -21,9 +21,10 @@ once, evaluate everywhere" structure explicit:
   stale entries are simply never looked up again.
 
 :func:`transition_table_bytes` canonicalizes an automaton's materialized
-tables into process-independent bytes (frozensets are sorted by canonical
-repr, so ``PYTHONHASHSEED`` cannot leak in); the cache tests pin that two
-independent compilations of the same formula produce identical bytes.
+tables into process-independent bytes (state values are dumped with
+frozensets sorted by canonical repr, so ``PYTHONHASHSEED`` cannot leak
+in); the cache tests pin that two independent compilations of the same
+formula, warmed by the same runs, produce identical bytes.
 """
 
 from __future__ import annotations
@@ -43,13 +44,10 @@ from .automata import TreeAutomaton
 from .compiler import compile_formula, compile_with_singletons
 
 #: Bump to invalidate every on-disk entry after a format/semantics change.
-#: 2: entries may carry a pickled TabulatedAutomaton kernel (see
-#: :mod:`repro.algebra.tables`) riding on the automaton.
-#: 3: entries may carry minimized-kernel wrappers (quotient maps plus
-#: before/after state counts, see :mod:`repro.algebra.minimize`) keyed
-#: per ``(d, labels)`` on the automaton; memoized budget fallbacks ride
-#: along so a failed closure is never retried in a later process.
-CACHE_VERSION = 3
+#: 4: automata hash-cons their states into dense ids and persist id-keyed
+#: transition tables (earlier versions stored value-keyed caches plus
+#: separate kernel and minimization wrappers).
+CACHE_VERSION = 4
 
 __all__ = [
     "CACHE_VERSION",
@@ -183,10 +181,11 @@ def _component_automata(automaton: TreeAutomaton, _seen=None):
 def transition_table_bytes(automaton: TreeAutomaton) -> bytes:
     """Canonical bytes of every materialized transition-table entry.
 
-    Covers the leaf / glue / forget caches and the class-id interning of
-    the automaton and all its composite components, sorted canonically —
-    two automata compiled from the same formula (and warmed on the same
-    runs) serialize to identical bytes in any process.
+    Covers the hash-consed states and the id-keyed leaf / glue / forget
+    tables of the automaton and all its composite components, sorted.
+    State ids are assigned in production order, so two automata compiled
+    from the same formula and warmed on the same runs serialize to
+    identical bytes in any process.
     """
     memo: Dict[Any, str] = {}
     digests: Dict[str, str] = {}
@@ -202,57 +201,25 @@ def transition_table_bytes(automaton: TreeAutomaton) -> bytes:
     lines = []
     for index, component in enumerate(_component_automata(automaton)):
         prefix = f"{index}:{type(component).__name__}"
-        for symbol, state in component._leaf_cache.items():
-            lines.append(f"{prefix}|leaf|{tag(symbol)}|{tag(state)}")
-        for (boundary, s1, s2), state in component._glue_cache.items():
-            lines.append(
-                f"{prefix}|glue|{boundary}|{tag(s1)}|{tag(s2)}|{tag(state)}"
-            )
-        for (boundary, s), state in component._forget_cache.items():
-            lines.append(f"{prefix}|forget|{boundary}|{tag(s)}|{tag(state)}")
-        for state, class_id in component._intern.items():
-            lines.append(f"{prefix}|intern|{tag(state)}|{class_id}")
+        for sid, state in enumerate(component._states):
+            lines.append(f"{prefix}|state|{sid}|{tag(state)}")
+        for symbol, sid in component._leaf_table.items():
+            lines.append(f"{prefix}|leaf|{tag(symbol)}|{sid}")
+        for (boundary, i, j), sid in component._glue_table.items():
+            lines.append(f"{prefix}|glue|{boundary}|{i}|{j}|{sid}")
+        for (boundary, i), sid in component._forget_table.items():
+            lines.append(f"{prefix}|forget|{boundary}|{i}|{sid}")
     lines.sort()
     return "\n".join(lines).encode()
 
 
 def _table_entries(automaton: TreeAutomaton) -> int:
-    """Total materialized table entries (a cheap warm-ness measure).
-
-    Includes the dense integer tables of an attached
-    :class:`~repro.algebra.tables.TabulatedAutomaton` kernel (stored on
-    the automaton by :func:`~repro.algebra.tables.tabulated`) and the
-    quotient maps / op caches of any minimized variants (stored by
-    :func:`~repro.algebra.minimize.minimized_automaton`), so
-    ``save_warm`` re-persists entries whose *kernel* warmed even when the
-    state-level caches did not grow.  Memoized minimization fallbacks
-    count as one entry each — persisting them is what stops the next
-    process from re-running a doomed closure.
-    """
-    total = 0
-
-    def op_caches(aut: TreeAutomaton) -> int:
-        return (
-            len(aut._leaf_cache)
-            + len(aut._glue_cache)
-            + len(aut._forget_cache)
-            + len(aut._intern)
-        )
-
-    def kernel(aut: TreeAutomaton) -> int:
-        wrapper = getattr(aut, "_tabulated_wrapper", None)
-        return wrapper.table_entries() if wrapper is not None else 0
-
-    for component in _component_automata(automaton):
-        total += op_caches(component) + kernel(component)
-        for minimized in getattr(component, "_minimized_variants", {}).values():
-            total += 1  # the memoized variant itself (None = fallback)
-            if minimized is not None:
-                total += op_caches(minimized) + kernel(minimized)
-                total += sum(
-                    len(table) for table in minimized._quotient.values()
-                )
-    return total
+    """Total materialized table entries over the automaton tower (a cheap
+    warm-ness measure; ``save_warm`` re-persists entries whose count grew)."""
+    return sum(
+        component.table_entries()
+        for component in _component_automata(automaton)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -429,9 +396,9 @@ class AutomatonCache:
     def stats(self) -> Dict[str, Any]:
         """Aggregate statistics backing ``repro cache stats``.
 
-        Covers the in-memory entries (with per-entry table sizes and the
-        state counts of any minimized variants), the on-disk footprint,
-        and this instance's hit/miss/disk-load counters.  Registry-level
+        Covers the in-memory entries (per-entry table sizes and class
+        counts), the on-disk footprint, and this instance's
+        hit/miss/disk-load counters.  Registry-level
         counters aggregate across *all* caches in the process; these are
         per instance.
         """
@@ -450,25 +417,10 @@ class AutomatonCache:
         entries = []
         for key in sorted(self._memory):
             automaton = self._memory[key][0]
-            minimized = []
-            variants = getattr(automaton, "_minimized_variants", {})
-            for (vd, vlabels), wrapper in sorted(variants.items()):
-                info: Dict[str, Any] = {
-                    "d": vd,
-                    "labels": list(vlabels),
-                    "fallback": wrapper is None,
-                }
-                if wrapper is not None:
-                    info.update(
-                        states_total=wrapper.stats.states_total,
-                        states_reachable=wrapper.stats.states_reachable,
-                        states_minimized=wrapper.stats.states_minimized,
-                    )
-                minimized.append(info)
             entries.append({
                 "key": key,
                 "table_entries": _table_entries(automaton),
-                "minimized": minimized,
+                "classes": automaton.num_classes(),
             })
         return {
             "directory": str(self.directory),

@@ -23,11 +23,9 @@ from ..graph import Graph, Vertex
 from ..mso import syntax as sx
 from ..obs.profile import profiled
 from ..treedepth import EliminationForest
-from .automata import State, TreeAutomaton
+from .automata import TreeAutomaton
 from .compiler import compile_formula
-from .tables import TabulatedAutomaton
 from .symbols import (
-    BaseStructure,
     SymbolChoice,
     base_structure,
     enumerate_symbol_choices,
@@ -50,15 +48,18 @@ def run_states(
     graph: Graph,
     forest: EliminationForest,
     assignment: Optional[Dict[sx.Var, Any]] = None,
-) -> State:
-    """Bottom-up run; returns the homomorphism class of the whole graph."""
+) -> int:
+    """Bottom-up run; returns the class (state id) of the whole graph.
+
+    This is the transition-by-transition reference loop the distributed
+    protocols are checked against, so it deliberately bypasses the
+    memoized joins (``fold_decide`` and friends).
+    """
     if graph.num_vertices() == 0:
         raise ReproError("the algebra run needs at least one vertex")
     assignment = assignment or {}
-    if isinstance(automaton, TabulatedAutomaton):
-        return _run_states_tabulated(automaton, graph, forest, assignment)
     with profiled("algebra.run_states"):
-        state_after: Dict[Vertex, State] = {}
+        state_after: Dict[Vertex, int] = {}
         for v in forest.bottom_up_order():
             k = forest.depth_of(v)
             structure = base_structure(graph, forest, v)
@@ -70,41 +71,12 @@ def run_states(
             for child in forest.children(v):
                 state = automaton.glue(k, state, state_after.pop(child))
             state_after[v] = automaton.forget(k, state)
-        total: Optional[State] = None
+        total: Optional[int] = None
         for root in forest.roots():
             s = state_after.pop(root)
             total = s if total is None else automaton.glue(0, total, s)
         assert total is not None
         return total
-
-
-def _run_states_tabulated(
-    automaton: TabulatedAutomaton,
-    graph: Graph,
-    forest: EliminationForest,
-    assignment: Dict[sx.Var, Any],
-) -> State:
-    """Integer-id bottom-up run; whole nodes memoize via ``fold_decide``."""
-    with profiled("algebra.run_states"):
-        id_after: Dict[Vertex, int] = {}
-        for v in forest.bottom_up_order():
-            k = forest.depth_of(v)
-            structure = base_structure(graph, forest, v)
-            vertex_item, edge_items = owned_items(graph, forest, v)
-            symbol = symbol_for_assignment(
-                structure, automaton.scope, vertex_item, edge_items, assignment
-            )
-            id_after[v] = automaton.fold_decide(
-                k,
-                automaton.leaf_id(symbol),
-                tuple(id_after.pop(child) for child in forest.children(v)),
-            )
-        total: Optional[int] = None
-        for root in forest.roots():
-            sid = id_after.pop(root)
-            total = sid if total is None else automaton.glue_id(0, total, sid)
-        assert total is not None
-        return automaton.state_of(total)
 
 
 def check(
@@ -150,9 +122,9 @@ def check_assignment(
 class _NodeTrace:
     """Back-pointers for reconstructing the optimal choice at one vertex."""
 
-    leaf_choice: Dict[State, SymbolChoice]
-    glue_steps: List[Tuple[Vertex, Dict[State, Tuple[State, State]]]]
-    forget_back: Dict[State, State]
+    leaf_choice: Dict[int, SymbolChoice]
+    glue_steps: List[Tuple[Vertex, Dict[int, Tuple[int, int]]]]
+    forget_back: Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -199,7 +171,7 @@ def optimize(
                 total += graph.vertex_weight(item)
         return total
 
-    tables: Dict[Vertex, Dict[State, int]] = {}
+    tables: Dict[Vertex, Dict[int, int]] = {}
     traces: Dict[Vertex, _NodeTrace] = {}
 
     def better(candidate: int, incumbent: Optional[int]) -> bool:
@@ -210,8 +182,8 @@ def optimize(
             k = forest.depth_of(v)
             structure = base_structure(graph, forest, v)
             vertex_item, edge_items = owned_items(graph, forest, v)
-            leaf_table: Dict[State, int] = {}
-            leaf_choice: Dict[State, SymbolChoice] = {}
+            leaf_table: Dict[int, int] = {}
+            leaf_choice: Dict[int, SymbolChoice] = {}
             for choice in enumerate_symbol_choices(
                 structure, automaton.scope, vertex_item, edge_items
             ):
@@ -221,13 +193,13 @@ def optimize(
                     leaf_table[state] = w
                     leaf_choice[state] = choice
             table = leaf_table
-            glue_steps: List[Tuple[Vertex, Dict[State, Tuple[State, State]]]] = []
+            glue_steps: List[Tuple[Vertex, Dict[int, Tuple[int, int]]]] = []
             for child in forest.children(v):
                 child_table = tables.pop(child)
-                merged: Dict[State, int] = {}
-                back: Dict[State, Tuple[State, State]] = {}
-                for s1 in sorted(table, key=automaton.intern):
-                    for s2 in sorted(child_table, key=automaton.intern):
+                merged: Dict[int, int] = {}
+                back: Dict[int, Tuple[int, int]] = {}
+                for s1 in sorted(table):
+                    for s2 in sorted(child_table):
                         s = automaton.glue(k, s1, s2)
                         w = table[s1] + child_table[s2]
                         if better(w, merged.get(s)):
@@ -235,9 +207,9 @@ def optimize(
                             back[s] = (s1, s2)
                 table = merged
                 glue_steps.append((child, back))
-            forget_table: Dict[State, int] = {}
-            forget_back: Dict[State, State] = {}
-            for s in sorted(table, key=automaton.intern):
+            forget_table: Dict[int, int] = {}
+            forget_back: Dict[int, int] = {}
+            for s in sorted(table):
                 fs = automaton.forget(k, s)
                 if better(table[s], forget_table.get(fs)):
                     forget_table[fs] = table[s]
@@ -247,13 +219,13 @@ def optimize(
 
     # Combine the per-component tables at the empty boundary.
     roots = forest.roots()
-    combined: Dict[State, int] = tables[roots[0]]
-    combined_back: List[Dict[State, Tuple[State, State]]] = []
+    combined: Dict[int, int] = tables[roots[0]]
+    combined_back: List[Dict[int, Tuple[int, int]]] = []
     for root in roots[1:]:
-        nxt: Dict[State, int] = {}
-        back: Dict[State, Tuple[State, State]] = {}
-        for s1 in sorted(combined, key=automaton.intern):
-            for s2 in sorted(tables[root], key=automaton.intern):
+        nxt: Dict[int, int] = {}
+        back: Dict[int, Tuple[int, int]] = {}
+        for s1 in sorted(combined):
+            for s2 in sorted(tables[root]):
                 s = automaton.glue(0, s1, s2)
                 w = combined[s1] + tables[root][s2]
                 if better(w, nxt.get(s)):
@@ -262,8 +234,8 @@ def optimize(
         combined = nxt
         combined_back.append(back)
 
-    best_state: Optional[State] = None
-    for s in sorted(combined, key=automaton.intern):
+    best_state: Optional[int] = None
+    for s in sorted(combined):
         if automaton.accepts(s) and better(combined[s], None if best_state is None else combined[best_state]):
             best_state = s
     if best_state is None:
@@ -271,7 +243,7 @@ def optimize(
 
     # ARGOPT top-down: peel the component combination, then each tree.
     witness: List[Any] = []
-    component_states: Dict[Vertex, State] = {}
+    component_states: Dict[Vertex, int] = {}
     s = best_state
     for root, back in zip(reversed(roots[1:]), reversed(combined_back)):
         left, right = back[s]
@@ -279,7 +251,7 @@ def optimize(
         s = left
     component_states[roots[0]] = s
 
-    def reconstruct(v: Vertex, forget_state: State) -> None:
+    def reconstruct(v: Vertex, forget_state: int) -> None:
         trace = traces[v]
         state = trace.forget_back[forget_state]
         for child, back in reversed(trace.glue_steps):
@@ -324,16 +296,13 @@ def count(
         from .compiler import compile_with_singletons
 
         automaton = compile_with_singletons(formula, scope)
-    if isinstance(automaton, TabulatedAutomaton):
-        return _count_tabulated(automaton, graph, forest, scope)
-
-    tables: Dict[Vertex, Dict[State, int]] = {}
+    tables: Dict[Vertex, Dict[int, int]] = {}
     with profiled("algebra.count.tables"):
         for v in forest.bottom_up_order():
             k = forest.depth_of(v)
             structure = base_structure(graph, forest, v)
             vertex_item, edge_items = owned_items(graph, forest, v)
-            table: Dict[State, int] = {}
+            table: Dict[int, int] = {}
             for choice in enumerate_symbol_choices(
                 structure, scope, vertex_item, edge_items
             ):
@@ -341,13 +310,13 @@ def count(
                 table[state] = table.get(state, 0) + 1
             for child in forest.children(v):
                 child_table = tables.pop(child)
-                merged: Dict[State, int] = {}
+                merged: Dict[int, int] = {}
                 for s1, c1 in table.items():
                     for s2, c2 in child_table.items():
                         s = automaton.glue(k, s1, s2)
                         merged[s] = merged.get(s, 0) + c1 * c2
                 table = merged
-            forgotten: Dict[State, int] = {}
+            forgotten: Dict[int, int] = {}
             for s, c in table.items():
                 fs = automaton.forget(k, s)
                 forgotten[fs] = forgotten.get(fs, 0) + c
@@ -356,45 +325,10 @@ def count(
     roots = forest.roots()
     combined = tables[roots[0]]
     for root in roots[1:]:
-        nxt: Dict[State, int] = {}
+        nxt: Dict[int, int] = {}
         for s1, c1 in combined.items():
             for s2, c2 in tables[root].items():
                 s = automaton.glue(0, s1, s2)
                 nxt[s] = nxt.get(s, 0) + c1 * c2
         combined = nxt
     return sum(c for s, c in combined.items() if automaton.accepts(s))
-
-
-def _count_tabulated(
-    automaton: TabulatedAutomaton,
-    graph: Graph,
-    forest: EliminationForest,
-    scope: Tuple[sx.Var, ...],
-) -> int:
-    """Integer-id COUNT run through the kernel's digest-memoized joins.
-
-    Counts stay Python big-ints (they routinely exceed ``int64``); the
-    kernel only vectorizes state identity.
-    """
-    tables: Dict[Vertex, Tuple[Tuple[int, int], ...]] = {}
-    with profiled("algebra.count.tables"):
-        for v in forest.bottom_up_order():
-            k = forest.depth_of(v)
-            structure = base_structure(graph, forest, v)
-            vertex_item, edge_items = owned_items(graph, forest, v)
-            leaf: Dict[int, int] = {}
-            for choice in enumerate_symbol_choices(
-                structure, scope, vertex_item, edge_items
-            ):
-                sid = automaton.leaf_id(choice.symbol)
-                leaf[sid] = leaf.get(sid, 0) + 1
-            table = tuple(leaf.items())
-            for child in forest.children(v):
-                table = automaton.merge_counts(k, table, tables.pop(child))
-            tables[v] = automaton.fold_forget_counts(k, table)
-
-    roots = forest.roots()
-    combined = tables[roots[0]]
-    for root in roots[1:]:
-        combined = automaton.merge_counts(0, combined, tables[root])
-    return sum(c for sid, c in combined if automaton.accepts_id(sid))

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from .algebra.cache import AutomatonCache, default_cache
-from .algebra.minimize import minimization_stats
 from .certification import prove, verify
 from .distributed.counting import count_pipeline
 from .distributed.model_checking import decide_pipeline
@@ -128,7 +127,6 @@ class _Observation:
         wall = time.perf_counter() - self._started
         session = self.session
         cache = session.cache
-        states = fields.pop("states", None)
         cache_delta = {
             "hits": cache.hits - self._cache_before[0],
             "misses": cache.misses - self._cache_before[1],
@@ -156,9 +154,6 @@ class _Observation:
             cache=cache_delta,
             replay=session._replay_json(),
             wall_seconds=wall,
-            states_total=states.states_total if states else 0,
-            states_reachable=states.states_reachable if states else 0,
-            states_minimized=states.states_minimized if states else 0,
         )
         if session.record:
             store = RunStore(
@@ -200,12 +195,6 @@ class Session:
     engine:
         ``"batched"`` (default) or ``"naive"`` — differentially identical
         schedulers; batched is the fast one.
-    minimize:
-        ``False`` opts out of the kernel state-space reduction passes
-        (:mod:`repro.algebra.minimize`).  The default ``None`` applies
-        them on every engine; when they succeed the per-workload
-        :class:`~repro.obs.reports.RunReport` carries the before/after
-        state counts.
     cache:
         An :class:`~repro.algebra.cache.AutomatonCache`; defaults to the
         process-wide persistent cache.  Compiled automata and class ids
@@ -230,7 +219,6 @@ class Session:
         inbox_order: Optional[str] = None,
         budget: Optional[int] = None,
         engine: Optional[str] = None,
-        minimize: Optional[bool] = None,
         cache: Optional[AutomatonCache] = None,
         record: Union[bool, str, None] = False,
         config: Optional[RunConfig] = None,
@@ -244,7 +232,6 @@ class Session:
             inbox_order=inbox_order,
             budget=budget,
             engine=engine,
-            minimize=minimize,
             cache=cache,
         )
         self.graph = graph
@@ -255,7 +242,6 @@ class Session:
         self.inbox_order = self.config.inbox_order
         self.budget = self.config.budget
         self.engine = self.config.engine
-        self.minimize = self.config.minimize
         self.cache = (
             self.config.cache if self.config.cache is not None
             else default_cache()
@@ -332,22 +318,6 @@ class Session:
             trace=self.tracer, codec=codec, cache=None
         )
 
-    def _minimize_stats(self, automaton: Any, out: Any) -> Optional[Any]:
-        """The state-reduction counts of the pipeline call that just ran.
-
-        Peek-only, and gated on the pipeline's own ``minimized`` flag:
-        when minimization is off, the budgeted passes fell back to the
-        raw kernel, or the recovered elimination forest was deeper than
-        the closure (so the run bypassed the wrapper), there is nothing
-        to report — even if an earlier run on another graph warmed the
-        memo.
-        """
-        if not getattr(out, "minimized", False):
-            return None
-        return minimization_stats(
-            automaton, d=self.d, labels=self._labels()
-        )
-
     # -- workloads -------------------------------------------------------
 
     def decide(self, phi: Union[Formula, str]) -> Result:
@@ -377,7 +347,6 @@ class Session:
                     "elimination": out.elimination_rounds,
                     "checking": out.checking_rounds,
                 },
-                states=self._minimize_stats(automaton, out),
             )
 
     def optimize(
@@ -436,7 +405,6 @@ class Session:
                     "elimination": out.elimination_rounds,
                     "optimization": out.optimization_rounds,
                 },
-                states=self._minimize_stats(automaton, out),
             )
 
     def count(self, phi: Union[Formula, str]) -> Result:
@@ -467,7 +435,6 @@ class Session:
                     "elimination": out.elimination_rounds,
                     "counting": out.counting_rounds,
                 },
-                states=self._minimize_stats(automaton, out),
             )
 
     def certify(self, phi: Union[Formula, str]) -> Result:

@@ -575,7 +575,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from .algebra.cache import default_cache
-    from .obs.registry import registry
 
     cache = default_cache()
     stats = cache.stats()
@@ -589,24 +588,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
           f"({stats['disk_bytes']} bytes)")
     print(f"  counters: {stats['hits']} hits, {stats['misses']} misses, "
           f"{stats['disk_loads']} disk loads")
-    fallbacks = registry().counter(
-        "repro_minimize_fallback_total",
-        "Minimization attempts that fell back to the raw automaton.",
-    ).total()
-    print(f"  minimize fallbacks (process-wide): {int(fallbacks)}")
     for entry in stats["entries"]:
         print(f"  - {entry['key']!r}: "
-              f"{entry['table_entries']} table entries")
-        for info in entry["minimized"]:
-            labels = ",".join(info["labels"]) or "-"
-            if info["fallback"]:
-                print(f"      minimized d={info['d']} labels={labels}: "
-                      "fallback (budget exceeded)")
-            else:
-                print(f"      minimized d={info['d']} labels={labels}: "
-                      f"{info['states_total']} states, "
-                      f"{info['states_reachable']} reachable, "
-                      f"{info['states_minimized']} after quotient")
+              f"{entry['table_entries']} table entries, "
+              f"{entry['classes']} classes")
     return 0
 
 
@@ -641,11 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the distributed protocol instead of Algorithm 1")
         p.add_argument("--d", type=int, default=3,
                        help="treedepth promise for CONGEST runs (default 3)")
-        p.add_argument("--engine", choices=["batched", "naive", "vectorized"],
+        p.add_argument("--engine", choices=["batched", "naive"],
                        default=None,
-                       help="execution engine for CONGEST runs "
-                       "(differentially identical; vectorized is the fast "
-                       "one — see docs/engines.md)")
+                       help="round scheduler for CONGEST runs "
+                       "(byte-identical; batched is the fast one — see "
+                       "docs/engines.md)")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON RunConfig replay file (seed/inbox_order/"
                        "engine/faults/retry/budget); mutually exclusive "
@@ -746,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(0 = no reliability layer)")
     p_faults.add_argument("--d", type=int, default=3,
                           help="treedepth promise (default 3)")
-    p_faults.add_argument("--engine", choices=["batched", "naive", "vectorized"],
+    p_faults.add_argument("--engine", choices=["batched", "naive"],
                           default="batched",
                           help="execution engine (differentially identical)")
     p_faults.add_argument("--seed", type=int, default=None,
@@ -893,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="automaton cache introspection",
         description="Statistics for the process-wide persistent "
         "AutomatonCache: entry and on-disk byte counts, per-entry "
-        "transition-table sizes, minimized-kernel state counts, and "
+        "transition-table sizes and class counts, and "
         "hit/miss/disk-load counters.",
     )
     cache_sub = p_cache.add_subparsers(dest="cache_cmd", required=True)

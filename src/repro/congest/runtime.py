@@ -190,7 +190,7 @@ class SimulationResult:
 INBOX_ORDERS = ("arrival", "shuffle", "sorted", "reversed")
 
 #: Accepted round schedulers (see :class:`Simulation`).
-ENGINES = ("naive", "batched", "vectorized")
+ENGINES = ("naive", "batched")
 
 
 class Simulation:
@@ -283,10 +283,7 @@ class Simulation:
         # (the REPRO_TRACE / ``repro trace`` path).  None = fully disabled.
         self.tracer = tracer if tracer is not None else current_tracer()
         self.engine = engine
-        # "vectorized" changes only node-local automaton compute (see
-        # repro.algebra.tables); at the CONGEST layer it IS the batched
-        # scheduler, which is what keeps the two engines byte-identical.
-        self._batched = engine in ("batched", "vectorized")
+        self._batched = engine == "batched"
         # Batched-engine kernels: payload-size memo (payloads are hashable
         # algebraic values), cached adjacency sets, and per-round message
         # accumulators flushed into the metrics arrays once per round.

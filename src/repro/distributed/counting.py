@@ -12,11 +12,10 @@ or two chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import enumerate_symbol_choices
-from ..algebra.tables import TabulatedAutomaton
 from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
@@ -24,14 +23,8 @@ from ..obs import Tracer, maybe_phase
 from ..runconfig import RunConfig
 from .elimination import build_elimination_tree
 from .model_checking import (
-    PIPELINE_DEFAULTS,
     ClassCodec,
-    _IdCodec,
-    elimination_forest_depth,
-    engine_automaton,
-    graph_label_alphabet,
     local_base_symbol,
-    minimization_stats,
     node_inputs_from_elimination,
     resolve_tracer,
 )
@@ -59,15 +52,12 @@ def _digits_to_count(digits: List[int]) -> int:
 def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
     """Node program factory for the counting convergecast.
 
-    With a :class:`TabulatedAutomaton` (``engine="vectorized"``) the
-    COUNT tables are kept as integer-id pairs and merged through the
-    kernel's digest-memoized :meth:`~TabulatedAutomaton.merge_counts` /
-    :meth:`~TabulatedAutomaton.fold_forget_counts` joins — identical
+    COUNT tables are (state id, count) pairs merged through the
+    automaton's digest-memoized :meth:`~TreeAutomaton.merge_counts` /
+    :meth:`~TreeAutomaton.fold_forget_counts` joins, so identical
     subtree merges collapse to one dictionary hit.  Counts stay Python
-    big-ints throughout; only state identity is vectorized.
+    big-ints throughout.
     """
-    tab = automaton if isinstance(automaton, TabulatedAutomaton) else None
-    ids = _IdCodec(tab, codec) if tab is not None else None
 
     @node_program
     def program(ctx: NodeContext) -> Generator[None, Inbox, Optional[int]]:
@@ -81,19 +71,13 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
         owned_edges = [
             (pos, canonical_edge(bag[pos - 1], ctx.node)) for pos in positions
         ]
-        table: Dict[Any, int] = {}
-        if tab is not None:
-            for choice in enumerate_symbol_choices(
-                base.structure, automaton.scope, ctx.node, owned_edges
-            ):
-                sid = tab.leaf_id(choice.symbol)
-                table[sid] = table.get(sid, 0) + 1
-        else:
-            for choice in enumerate_symbol_choices(
-                base.structure, automaton.scope, ctx.node, owned_edges
-            ):
-                state = automaton.leaf(choice.symbol)
-                table[state] = table.get(state, 0) + 1
+        leaf: Dict[int, int] = {}
+        for choice in enumerate_symbol_choices(
+            base.structure, automaton.scope, ctx.node, owned_edges
+        ):
+            sid = automaton.leaf(choice.symbol)
+            leaf[sid] = leaf.get(sid, 0) + 1
+        table = tuple(leaf.items())
 
         with ctx.phase("count-streaming"):
             collector = ItemCollector("cnt", children)
@@ -104,15 +88,12 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
                 # Entries are framed as a header item (0, class_id) followed by
                 # digit items (1, digit) in little-endian order — each message
                 # stays small even when |C_reachable| is large.
-                child_table: Dict[Any, int] = {}
+                child_table: Dict[int, int] = {}
                 current_state = None
                 digit_index = 0
                 for kind, value in collector.items_from(child):
                     if kind == 0:
-                        current_state = (
-                            ids.decode(value) if tab is not None
-                            else codec.decode(value)
-                        )
+                        current_state = codec.decode(value)
                         digit_index = 0
                     else:
                         if current_state is None:
@@ -121,35 +102,14 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
                             current_state, 0
                         ) | (value << (_CHUNK_BITS * digit_index))
                         digit_index += 1
-                if tab is not None:
-                    table = dict(
-                        tab.merge_counts(
-                            depth,
-                            tuple(table.items()),
-                            tuple(child_table.items()),
-                        )
-                    )
-                else:
-                    merged: Dict[Any, int] = {}
-                    for s1, c1 in table.items():
-                        for s2, c2 in child_table.items():
-                            s = automaton.glue(depth, s1, s2)
-                            merged[s] = merged.get(s, 0) + c1 * c2
-                    table = merged
-            if tab is not None:
-                forgotten: Dict[Any, int] = dict(
-                    tab.fold_forget_counts(depth, tuple(table.items()))
+                table = automaton.merge_counts(
+                    depth, table, tuple(child_table.items())
                 )
-            else:
-                forgotten = {}
-                for s, c in table.items():
-                    fs = automaton.forget(depth, s)
-                    forgotten[fs] = forgotten.get(fs, 0) + c
+            forgotten = dict(automaton.fold_forget_counts(depth, table))
 
             if parent is not None:
-                encode = ids.encode if tab is not None else codec.encode
-                for s in sorted(forgotten, key=encode):
-                    ctx.send(parent, ("cnt", (0, encode(s))))
+                for s in sorted(forgotten, key=codec.encode):
+                    ctx.send(parent, ("cnt", (0, codec.encode(s))))
                     yield
                     for digit in _count_to_digits(forgotten[s]):
                         ctx.send(parent, ("cnt", (1, digit)))
@@ -157,8 +117,6 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
                 # Parent still yields awaiting cnt/end, so this delivers.
                 ctx.send(parent, ("cnt/end", None))  # repro: noqa[RL003]
                 return None
-        if tab is not None:
-            return sum(c for s, c in forgotten.items() if tab.accepts_id(s))
         return sum(c for s, c in forgotten.items() if automaton.accepts(s))
 
     return program
@@ -176,7 +134,6 @@ class DistributedCount:
     max_message_bits: int
     num_classes: int
     total_messages: int = 0
-    minimized: bool = False
 
 
 def count_pipeline(
@@ -190,7 +147,6 @@ def count_pipeline(
     faults=None,
     retry=None,
     engine: Optional[str] = None,
-    minimize: Optional[bool] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedCount:
@@ -206,7 +162,6 @@ def count_pipeline(
         raise ProtocolError("counting needs at least one free variable")
     cfg = RunConfig.from_kwargs(
         config,
-        defaults=PIPELINE_DEFAULTS,
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,
@@ -214,7 +169,6 @@ def count_pipeline(
         faults=faults,
         retry=retry,
         engine=engine,
-        minimize=minimize,
         codec=codec,
     )
     tracer = resolve_tracer(cfg.trace)
@@ -242,20 +196,7 @@ def count_pipeline(
         )
     inputs = node_inputs_from_elimination(graph, elim)
     codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
-    labels = graph_label_alphabet(graph)
-    forest_depth = elimination_forest_depth(elim)
-    program = counting_program(
-        engine_automaton(
-            automaton, cfg.engine,
-            minimize=cfg.minimize_enabled, d=d,
-            labels=labels, forest_depth=forest_depth,
-        ),
-        codec,
-    )
-    minimized = (
-        cfg.minimize_enabled and forest_depth <= d
-        and minimization_stats(automaton, d=d, labels=labels) is not None
-    )
+    program = counting_program(automaton, codec)
     run_budget = cfg.budget
     max_rounds = 500_000
     if cfg.retry is not None:
@@ -298,6 +239,5 @@ def count_pipeline(
         max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
         num_classes=codec.num_classes,
         total_messages=elim.total_messages + result.metrics.total_messages,
-        minimized=minimized,
     )
 

@@ -248,7 +248,6 @@ def build_elimination_tree(
         raise ProtocolError("CONGEST requires a connected network")
     cfg = RunConfig.from_kwargs(
         config,
-        defaults={"engine": "naive"},
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,

@@ -27,131 +27,37 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
-from ..algebra.minimize import (
-    graph_label_alphabet,
-    minimization_stats,
-    minimized_automaton,
-)
 from ..algebra.symbols import BaseStructure, BaseSymbol
-from ..algebra.tables import TabulatedAutomaton, tabulated
 from ..congest import Inbox, NodeContext, default_budget, node_program, run_protocol
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
 from ..mso import syntax as sx
 from ..obs import Tracer, maybe_phase
-from ..obs.registry import registry as _registry
 from ..runconfig import RunConfig, resolve_tracer
 from .elimination import DistributedEliminationResult, build_elimination_tree
 
-#: Pipelines historically default to the cold reference scheduler.
-PIPELINE_DEFAULTS = {"engine": "naive"}
-
-
-def elimination_forest_depth(elim: "DistributedEliminationResult") -> int:
-    """The deepest node of the recovered elimination forest.
-
-    Algorithm 2 proves treedepth ``<= d`` with a forest up to
-    ``2^d - 1`` deep (the paper's ``D``) — the recovered depth, not the
-    promise, is what bounds the boundary levels a run touches.
-    """
-    return max((out.depth for out in elim.outputs.values()), default=0)
-
-
-def engine_automaton(
-    automaton: TreeAutomaton,
-    engine: str,
-    *,
-    minimize: bool = False,
-    d: Optional[int] = None,
-    labels: Tuple[str, ...] = (),
-    forest_depth: Optional[int] = None,
-) -> TreeAutomaton:
-    """The automaton a node program should evaluate under ``engine``.
-
-    With ``minimize`` (and a depth bound ``d``), the state-space
-    reduction passes of :mod:`repro.algebra.minimize` are applied first:
-    every transition lands on its equivalence-class representative, so
-    all engines — and hence all CONGEST transcripts — see the same
-    canonical states and the wire format stays byte-identical across
-    engines.  A blown minimization budget silently falls back to the
-    unminimized automaton (the fallback is memoized and counted in the
-    metrics registry).
-
-    ``forest_depth`` is the recovered elimination forest's depth
-    (:func:`elimination_forest_depth`); the quotient closure only covers
-    boundary levels ``0..d``, so a deeper forest — Algorithm 2 admits up
-    to ``2^d - 1`` — bypasses the wrapper (counted in
-    ``repro_minimize_depth_bypass_total``): its runs glue against
-    partner values the refinement never saw, and applying the quotient
-    there can change answers.
-
-    ``vectorized`` additionally swaps in the shared
-    :class:`TabulatedAutomaton` kernel — value-identical transitions, so
-    the CONGEST layer cannot tell the difference; the other engines run
-    the (possibly minimized) automaton as-is.
-    """
-    base = automaton
-    if minimize and d is not None:
-        if forest_depth is not None and forest_depth > d:
-            _registry().counter(
-                "repro_minimize_depth_bypass_total",
-                "Runs whose elimination forest outgrew the minimization "
-                "closure.",
-            ).inc()
-        else:
-            wrapper = minimized_automaton(automaton, d=d, labels=labels)
-            if wrapper is not None:
-                base = wrapper
-    if engine == "vectorized":
-        return tabulated(base)
-    return base
-
-
-class _IdCodec:
-    """Per-program bridge between kernel state ids and codec class ids.
-
-    Memoizes both directions so the hot loops never re-hash structured
-    states; ``encode`` still reaches :meth:`ClassCodec.encode` on each
-    id's *first* use, preserving the first-encounter class-id assignment
-    order of the state-level code paths.
-    """
-
-    def __init__(self, automaton: TabulatedAutomaton, codec: "ClassCodec"):
-        self._automaton = automaton
-        self._codec = codec
-        self._classes: Dict[int, int] = {}
-        self._ids: Dict[int, int] = {}
-
-    def encode(self, sid: int) -> int:
-        class_id = self._classes.get(sid)
-        if class_id is None:
-            class_id = self._codec.encode(self._automaton.state_of(sid))
-            self._classes[sid] = class_id
-        return class_id
-
-    def decode(self, class_id: int) -> int:
-        sid = self._ids.get(class_id)
-        if sid is None:
-            sid = self._automaton.id_of(self._codec.decode(class_id))
-            self._ids[class_id] = sid
-        return sid
-
 
 class ClassCodec:
-    """Shared class-id table: the simulated 'constant-size' 𝒞 encoding."""
+    """Shared class-id table: the simulated 'constant-size' 𝒞 encoding.
+
+    Maps the automaton's state ids to wire class ids in first-encounter
+    order, so the ids on the wire depend only on the order in which the
+    protocols send classes, never on how the automaton numbers states.
+    """
 
     def __init__(self, automaton: TreeAutomaton):
         self._automaton = automaton
-        self._by_id: List[Any] = []
-        self._ids: Dict[Any, int] = {}
+        self._by_id: List[int] = []
+        self._ids: Dict[int, int] = {}
 
-    def encode(self, state: Any) -> int:
-        if state not in self._ids:
-            self._ids[state] = len(self._by_id)
-            self._by_id.append(state)
-        return self._ids[state]
+    def encode(self, sid: int) -> int:
+        class_id = self._ids.get(sid)
+        if class_id is None:
+            class_id = self._ids[sid] = len(self._by_id)
+            self._by_id.append(sid)
+        return class_id
 
-    def decode(self, class_id: int) -> Any:
+    def decode(self, class_id: int) -> int:
         return self._by_id[class_id]
 
     @property
@@ -189,13 +95,10 @@ def local_base_symbol(ctx: NodeContext, scope: Tuple[sx.Var, ...]) -> BaseSymbol
 def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
     """Node program factory for the bottom-up decision convergecast.
 
-    When handed a :class:`TabulatedAutomaton` (``engine="vectorized"``),
-    the per-node Forget(Glue-chain(·)) replay runs over integer state ids
-    with whole-node join memoization; the messages carry the same codec
-    class ids either way.
+    Each node's Forget(Glue-chain(·)) replay goes through the
+    automaton's memoized :meth:`~TreeAutomaton.fold_decide`, so nodes
+    with the same leaf class and child classes cost one dictionary hit.
     """
-    tab = automaton if isinstance(automaton, TabulatedAutomaton) else None
-    ids = _IdCodec(tab, codec) if tab is not None else None
 
     @node_program(rounds="20 + 6*2**d + 2*n")
     def program(ctx: NodeContext) -> Generator[None, Inbox, bool]:
@@ -203,13 +106,9 @@ def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
         children: Tuple[Vertex, ...] = tuple(ctx.input["children"])
         parent: Optional[Vertex] = ctx.input["parent"]
 
-        symbol = local_base_symbol(ctx, automaton.scope)
-        if tab is not None:
-            sid = tab.leaf_id(symbol)
-        else:
-            state = automaton.leaf(symbol)
+        sid = automaton.leaf(local_base_symbol(ctx, automaton.scope))
         pending = set(children)
-        child_states: Dict[Vertex, Any] = {}
+        child_states: Dict[Vertex, int] = {}
         # Bottom-up phase: wait for every child's class.
         with ctx.phase("convergecast"):
             while pending:
@@ -221,31 +120,17 @@ def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
                         and payload
                         and payload[0] == "class"
                     ):
-                        child_states[sender] = (
-                            ids.decode(payload[1])
-                            if tab is not None
-                            else codec.decode(payload[1])
-                        )
+                        child_states[sender] = codec.decode(payload[1])
                         pending.discard(sender)
-            if tab is not None:
-                sid = tab.fold_decide(
-                    depth, sid, tuple(child_states[c] for c in children)
-                )
-                if parent is not None:
-                    ctx.send(parent, ("class", ids.encode(sid)))
-            else:
-                for child in children:
-                    state = automaton.glue(depth, state, child_states[child])
-                state = automaton.forget(depth, state)
-                if parent is not None:
-                    ctx.send(parent, ("class", codec.encode(state)))
+            sid = automaton.fold_decide(
+                depth, sid, tuple(child_states[c] for c in children)
+            )
+            if parent is not None:
+                ctx.send(parent, ("class", codec.encode(sid)))
         # Top-down verdict flood.
         with ctx.phase("verdict-flood"):
             if parent is None:
-                verdict = (
-                    tab.accepts_id(sid) if tab is not None
-                    else automaton.accepts(state)
-                )
+                verdict = automaton.accepts(sid)
                 for child in children:
                     # Children still yield awaiting the verdict flood.
                     ctx.send(child, ("verdict", verdict))  # repro: noqa[RL003]
@@ -275,7 +160,6 @@ class DistributedDecision:
     max_message_bits: int
     num_classes: int
     total_messages: int = 0
-    minimized: bool = False
 
 
 def node_inputs_from_elimination(
@@ -343,7 +227,6 @@ def decide_pipeline(
     faults=None,
     retry=None,
     engine: Optional[str] = None,
-    minimize: Optional[bool] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedDecision:
@@ -371,7 +254,6 @@ def decide_pipeline(
     """
     cfg = RunConfig.from_kwargs(
         config,
-        defaults=PIPELINE_DEFAULTS,
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,
@@ -379,7 +261,6 @@ def decide_pipeline(
         faults=faults,
         retry=retry,
         engine=engine,
-        minimize=minimize,
         codec=codec,
     )
     tracer = resolve_tracer(cfg.trace)
@@ -408,21 +289,7 @@ def decide_pipeline(
     scope = formula_automaton.scope
     inputs = node_inputs_from_elimination(graph, elim, assignment, scope)
     codec = cfg.codec if cfg.codec is not None else ClassCodec(formula_automaton)
-    labels = graph_label_alphabet(graph)
-    forest_depth = elimination_forest_depth(elim)
-    program = decision_program(
-        engine_automaton(
-            formula_automaton, cfg.engine,
-            minimize=cfg.minimize_enabled, d=d,
-            labels=labels, forest_depth=forest_depth,
-        ),
-        codec,
-    )
-    minimized = (
-        cfg.minimize_enabled and forest_depth <= d
-        and minimization_stats(formula_automaton, d=d, labels=labels)
-        is not None
-    )
+    program = decision_program(formula_automaton, codec)
     run_budget = cfg.budget if cfg.budget is not None else default_budget(
         graph.num_vertices()
     )
@@ -465,5 +332,4 @@ def decide_pipeline(
         max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
         num_classes=codec.num_classes,
         total_messages=elim.total_messages + result.metrics.total_messages,
-        minimized=minimized,
     )

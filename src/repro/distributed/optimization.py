@@ -23,23 +23,15 @@ from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import SymbolChoice, enumerate_symbol_choices
-from ..algebra.tables import TabulatedAutomaton
 from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
-from ..mso import syntax as sx
 from ..obs import Tracer, maybe_phase
 from ..runconfig import RunConfig
 from .elimination import build_elimination_tree
 from .model_checking import (
-    PIPELINE_DEFAULTS,
     ClassCodec,
-    _IdCodec,
-    elimination_forest_depth,
-    engine_automaton,
-    graph_label_alphabet,
     local_base_symbol,
-    minimization_stats,
     node_inputs_from_elimination,
     resolve_tracer,
 )
@@ -62,17 +54,13 @@ def optimization_program(
 ):
     """Node program factory for the optimization protocol.
 
-    With a :class:`TabulatedAutomaton` (``engine="vectorized"``) the OPT
-    tables are merged through the kernel's digest-memoized
-    :meth:`~TabulatedAutomaton.merge_opt` / :meth:`~TabulatedAutomaton.fold_forget_opt`
-    joins over integer ids; back-pointers and the ARGOPT walk operate on
-    the same ids, and the streamed (class id, weight) entries are
-    unchanged.
+    OPT tables are merged through the automaton's digest-memoized
+    :meth:`~TreeAutomaton.merge_opt` / :meth:`~TreeAutomaton.fold_forget_opt`
+    joins over state ids, fed in class-id order so ties break the same
+    way on every node; back-pointers and the ARGOPT walk operate on the
+    same ids.
     """
     sign = 1 if maximize else -1
-    var = automaton.scope[0]
-    tab = automaton if isinstance(automaton, TabulatedAutomaton) else None
-    ids = _IdCodec(tab, codec) if tab is not None else None
 
     @node_program
     def program(ctx: NodeContext) -> Generator[None, Inbox, NodeSelection]:
@@ -102,17 +90,12 @@ def optimization_program(
         def better(candidate: int, incumbent: Optional[int]) -> bool:
             return incumbent is None or sign * candidate > sign * incumbent
 
-        encode = ids.encode if tab is not None else codec.encode
-        decode = ids.decode if tab is not None else codec.decode
-        table: Dict[Any, int] = {}
-        leaf_choice: Dict[Any, SymbolChoice] = {}
+        table: Dict[int, int] = {}
+        leaf_choice: Dict[int, SymbolChoice] = {}
         for choice in enumerate_symbol_choices(
             base.structure, automaton.scope, ctx.node, owned_edges
         ):
-            state = (
-                tab.leaf_id(choice.symbol) if tab is not None
-                else automaton.leaf(choice.symbol)
-            )
+            state = automaton.leaf(choice.symbol)
             w = weight_of(choice.chosen[0])
             if better(w, table.get(state)):
                 table[state] = w
@@ -124,63 +107,41 @@ def optimization_program(
             while not collector.complete:
                 inbox = yield
                 collector.absorb(inbox)
-            glue_back: List[Tuple[Vertex, Dict[Any, Tuple[Any, Any]]]] = []
+            glue_back: List[Tuple[Vertex, Dict[int, Tuple[int, int]]]] = []
             for child in children:
                 child_table = {
-                    decode(class_id): weight
+                    codec.decode(class_id): weight
                     for class_id, weight in collector.items_from(child)
                 }
-                if tab is not None:
-                    merged_pairs, back_pairs = tab.merge_opt(
-                        depth,
-                        tuple(
-                            (s1, table[s1])
-                            for s1 in sorted(table, key=encode)
-                        ),
-                        tuple(
-                            (s2, child_table[s2])
-                            for s2 in sorted(child_table, key=encode)
-                        ),
-                        sign,
-                    )
-                    table = dict(merged_pairs)
-                    back = dict(back_pairs)
-                else:
-                    merged: Dict[Any, int] = {}
-                    back = {}
-                    for s1 in sorted(table, key=codec.encode):
-                        for s2 in sorted(child_table, key=codec.encode):
-                            s = automaton.glue(depth, s1, s2)
-                            w = table[s1] + child_table[s2]
-                            if better(w, merged.get(s)):
-                                merged[s] = w
-                                back[s] = (s1, s2)
-                    table = merged
-                glue_back.append((child, back))
-
-            if tab is not None:
-                forget_pairs, fback_pairs = tab.fold_forget_opt(
+                merged_pairs, back_pairs = automaton.merge_opt(
                     depth,
-                    tuple((s, table[s]) for s in sorted(table, key=encode)),
+                    tuple(
+                        (s1, table[s1])
+                        for s1 in sorted(table, key=codec.encode)
+                    ),
+                    tuple(
+                        (s2, child_table[s2])
+                        for s2 in sorted(child_table, key=codec.encode)
+                    ),
                     sign,
                 )
-                forget_table: Dict[Any, int] = dict(forget_pairs)
-                forget_back: Dict[Any, Any] = dict(fback_pairs)
-            else:
-                forget_table = {}
-                forget_back = {}
-                for s in sorted(table, key=codec.encode):
-                    fs = automaton.forget(depth, s)
-                    if better(table[s], forget_table.get(fs)):
-                        forget_table[fs] = table[s]
-                        forget_back[fs] = s
+                table = dict(merged_pairs)
+                glue_back.append((child, dict(back_pairs)))
+
+            forget_pairs, fback_pairs = automaton.fold_forget_opt(
+                depth,
+                tuple((s, table[s]) for s in sorted(table, key=codec.encode)),
+                sign,
+            )
+            forget_table: Dict[int, int] = dict(forget_pairs)
+            forget_back: Dict[int, int] = dict(fback_pairs)
 
             # -- stream the forgotten table up ------------------------------
             if parent is not None:
                 entries = [
-                    (encode(s), w)
+                    (codec.encode(s), w)
                     for s, w in sorted(
-                        forget_table.items(), key=lambda kv: encode(kv[0])
+                        forget_table.items(), key=lambda kv: codec.encode(kv[0])
                     )
                 ]
                 for class_id, weight in entries:
@@ -192,7 +153,7 @@ def optimization_program(
         with ctx.phase("argopt"):
             optimum: Optional[int] = None
             if parent is not None:
-                my_class: Optional[Any] = None
+                my_class: Optional[int] = None
                 infeasible = False
                 while my_class is None and not infeasible:
                     inbox = yield
@@ -200,7 +161,7 @@ def optimization_program(
                         payload = inbox[parent]
                         if isinstance(payload, tuple) and payload:
                             if payload[0] == "pick":
-                                my_class = decode(payload[1])
+                                my_class = codec.decode(payload[1])
                             elif payload[0] == "infeasible":
                                 infeasible = True
                 if infeasible:
@@ -209,13 +170,9 @@ def optimization_program(
                         ctx.send(child, ("infeasible", None))  # repro: noqa[RL003]
                     return NodeSelection(feasible=False)
             else:
-                best: Optional[Any] = None
-                for s in sorted(forget_table, key=encode):
-                    accepted = (
-                        tab.accepts_id(s) if tab is not None
-                        else automaton.accepts(s)
-                    )
-                    if accepted and better(
+                best: Optional[int] = None
+                for s in sorted(forget_table, key=codec.encode):
+                    if automaton.accepts(s) and better(
                         forget_table[s], None if best is None else forget_table[best]
                     ):
                         best = s
@@ -229,14 +186,14 @@ def optimization_program(
 
             # -- replay local back-pointers, inform children ---------------
             state = forget_back[my_class]
-            child_picks: Dict[Vertex, Any] = {}
+            child_picks: Dict[Vertex, int] = {}
             for child, back in reversed(glue_back):
                 left, right = back[state]
                 child_picks[child] = right
                 state = left
             for child in children:
                 # Children still yield awaiting their pick, so this delivers.
-                ctx.send(child, ("pick", encode(child_picks[child])))  # repro: noqa[RL003]
+                ctx.send(child, ("pick", codec.encode(child_picks[child])))  # repro: noqa[RL003]
         choice = leaf_choice[state]
         selected = choice.chosen[0]
         vertex_selected = any(not isinstance(item, tuple) for item in selected)
@@ -269,7 +226,6 @@ class DistributedOptimization:
     max_message_bits: int
     num_classes: int
     total_messages: int = 0
-    minimized: bool = False
 
 
 def optimize_pipeline(
@@ -284,7 +240,6 @@ def optimize_pipeline(
     faults=None,
     retry=None,
     engine: Optional[str] = None,
-    minimize: Optional[bool] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedOptimization:
@@ -302,7 +257,6 @@ def optimize_pipeline(
         raise ProtocolError("optimization needs scope = one free set variable")
     cfg = RunConfig.from_kwargs(
         config,
-        defaults=PIPELINE_DEFAULTS,
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,
@@ -310,7 +264,6 @@ def optimize_pipeline(
         faults=faults,
         retry=retry,
         engine=engine,
-        minimize=minimize,
         codec=codec,
     )
     tracer = resolve_tracer(cfg.trace)
@@ -340,21 +293,7 @@ def optimize_pipeline(
         )
     inputs = node_inputs_from_elimination(graph, elim)
     codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
-    labels = graph_label_alphabet(graph)
-    forest_depth = elimination_forest_depth(elim)
-    program = optimization_program(
-        engine_automaton(
-            automaton, cfg.engine,
-            minimize=cfg.minimize_enabled, d=d,
-            labels=labels, forest_depth=forest_depth,
-        ),
-        codec,
-        maximize,
-    )
-    minimized = (
-        cfg.minimize_enabled and forest_depth <= d
-        and minimization_stats(automaton, d=d, labels=labels) is not None
-    )
+    program = optimization_program(automaton, codec, maximize)
     run_budget = cfg.budget
     max_rounds = 500_000  # runaway guard only; progression is data-driven
     if cfg.retry is not None:
@@ -411,6 +350,5 @@ def optimize_pipeline(
         max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
         num_classes=codec.num_classes,
         total_messages=elim.total_messages + result.metrics.total_messages,
-        minimized=minimized,
     )
 

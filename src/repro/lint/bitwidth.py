@@ -268,16 +268,14 @@ _ATTR_CALL_RESULTS = {
     # serializable form is its O(log n) class id (ClassCodec roundtrip).
     "decode": AV_LOGN,
     "accepts": AV_BOOL,
-    # The TabulatedAutomaton kernel's integer state ids: contiguous
-    # intern indices, so id-valued results carry the same O(log n)
-    # bound as ClassCodec ids.
-    "accepts_id": AV_BOOL,
-    "leaf_id": AV_LOGN,
-    "id_of": AV_LOGN,
-    "glue_id": AV_LOGN,
-    "forget_id": AV_LOGN,
+    # TreeAutomaton transitions return hash-consed state ids: contiguous
+    # indices into the materialized class set, so id-valued results
+    # carry the same O(log n) bound as ClassCodec ids.
+    "leaf": AV_LOGN,
+    "glue": AV_LOGN,
+    "forget": AV_LOGN,
     "fold_decide": AV_LOGN,
-    # The kernel's OPT joins return sequences of (state id, weight)
+    # The automaton's OPT joins return sequences of (state id, weight)
     # pairs — both components class-id / weight-sum sized.  The COUNT
     # joins are deliberately NOT mapped: their counts can exceed any
     # per-message budget and must be digit-streamed, which the ⊤ width
@@ -983,7 +981,7 @@ def _method_alias_result(expr: Optional[ast.AST]) -> Optional[AV]:
     """The call-result AV when ``expr`` is a known-width bound method.
 
     Recognizes ``obj.encode`` (uncalled) and conditional picks between
-    such methods (``ids.encode if tab is not None else codec.encode``),
+    such methods (``a.encode if flag else b.encode``),
     so sends through the aliased name stay statically boundable.
     """
     if isinstance(expr, ast.IfExp):

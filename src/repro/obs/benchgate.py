@@ -143,40 +143,21 @@ def compare_bench(
             lines.append(f"  {exp}: grid differs from baseline; "
                          "correctness checks skipped")
 
-        for metric in ("speedup", "vectorized_speedup", "minimized_speedup"):
-            fs, bs = f.get(metric), b.get(metric)
-            if not isinstance(fs, (int, float)) \
-                    or not isinstance(bs, (int, float)):
-                continue
+        fs, bs = f.get("speedup"), b.get("speedup")
+        if isinstance(fs, (int, float)) and isinstance(bs, (int, float)):
             limit = bs * (1 - speedup_tolerance)
             if fs < limit and fs < speedup_floor:
                 breaches.append(BenchBreach(
-                    name, exp, metric, fs, bs,
+                    name, exp, "speedup", fs, bs,
                     f"below {limit:.2f}x (={100 * (1 - speedup_tolerance):g}% "
                     f"of baseline) and below the {speedup_floor:g}x floor",
                 ))
-                lines.append(f"  {exp}: {metric} {fs}x vs baseline {bs}x SLOW")
+                lines.append(f"  {exp}: speedup {fs}x vs baseline {bs}x SLOW")
             else:
-                lines.append(f"  {exp}: {metric} {fs}x vs baseline {bs}x ok")
-
-        fs, bs = f.get("state_reduction"), b.get("state_reduction")
-        if isinstance(fs, (int, float)) and isinstance(bs, (int, float)):
-            # State reduction is deterministic for a fixed kernel —
-            # any drop means the minimizer lost ground, not noise.
-            if fs < bs:
-                breaches.append(BenchBreach(
-                    name, exp, "state_reduction", fs, bs,
-                    "reachable-state reduction regressed",
-                ))
-                lines.append(f"  {exp}: state_reduction {fs} vs "
-                             f"baseline {bs} REGRESSED")
-            else:
-                lines.append(f"  {exp}: state_reduction {fs} vs "
-                             f"baseline {bs} ok")
+                lines.append(f"  {exp}: speedup {fs}x vs baseline {bs}x ok")
 
         if time_tolerance is not None:
-            for metric in ("naive_seconds", "batched_seconds",
-                           "vectorized_seconds", "minimized_seconds"):
+            for metric in ("naive_seconds", "batched_seconds"):
                 fv, bv = f.get(metric), b.get(metric)
                 if not isinstance(fv, (int, float)) \
                         or not isinstance(bv, (int, float)):

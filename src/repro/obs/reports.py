@@ -128,11 +128,6 @@ class RunReport:
     replay: Mapping[str, Any]
     env: Mapping[str, Any]
     wall_seconds: float
-    #: State-space reduction accounting (``repro.algebra.minimize``):
-    #: zero everywhere when minimization is disabled or fell back.
-    states_total: int = 0
-    states_reachable: int = 0
-    states_minimized: int = 0
     created_at: float = field(default=0.0)
 
     #: Fields excluded from the content address (volatile between
@@ -205,9 +200,6 @@ def build_report(
     cache: Mapping[str, int],
     replay: Mapping[str, Any],
     wall_seconds: float,
-    states_total: int = 0,
-    states_reachable: int = 0,
-    states_minimized: int = 0,
 ) -> RunReport:
     """Assemble a content-addressed :class:`RunReport`.
 
@@ -248,9 +240,6 @@ def build_report(
         replay=_plain(replay),
         env=environment_fingerprint(),
         wall_seconds=wall_seconds,
-        states_total=int(states_total),
-        states_reachable=int(states_reachable),
-        states_minimized=int(states_minimized),
         created_at=time.time(),
     )
     run_id = content_address(report.deterministic_core())
@@ -367,12 +356,6 @@ def render_markdown(report: RunReport) -> str:
     lines += [
         f"- **classes**: {report.num_classes}",
     ]
-    if report.states_total:
-        lines.append(
-            f"- **kernel states**: {report.states_total} total, "
-            f"{report.states_reachable} reachable, "
-            f"{report.states_minimized} after minimization"
-        )
     lines += [
         f"- **wall clock**: {report.wall_seconds:.4f}s",
         "",
@@ -628,10 +611,6 @@ def diff_reports(
         gate(f"faults:{kind}", va, vb)
 
     rows.append(DiffRow("info", "num_classes", a.num_classes, b.num_classes))
-    for key in ("states_total", "states_reachable", "states_minimized"):
-        va, vb = getattr(a, key, 0), getattr(b, key, 0)
-        rows.append(DiffRow("states", key, va, vb))
-        gate(key, va, vb)
     rows.append(DiffRow("info", "verdict", a.verdict, b.verdict))
     if a.verdict != b.verdict:
         breaches.append(

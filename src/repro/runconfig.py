@@ -42,9 +42,7 @@ def resolve_tracer(trace: Any) -> Optional[Any]:
     return current_tracer()
 
 #: The replayable subset of fields, in their canonical JSON order.
-REPLAY_FIELDS = (
-    "seed", "inbox_order", "faults", "retry", "budget", "engine", "minimize"
-)
+REPLAY_FIELDS = ("seed", "inbox_order", "faults", "retry", "budget", "engine")
 
 
 @dataclass(frozen=True)
@@ -55,15 +53,11 @@ class RunConfig:
 
     * ``seed`` / ``inbox_order`` — the simulator's adversarial delivery
       knobs (see :class:`repro.congest.Simulation`);
-    * ``engine`` — ``"naive"``, ``"batched"``, or ``"vectorized"``
-      (differentially identical schedulers; see ``docs/engines.md``);
+    * ``engine`` — ``"naive"`` or ``"batched"`` (the default):
+      byte-identical round schedulers (see ``docs/engines.md``);
     * ``faults`` / ``retry`` — a :class:`repro.faults.FaultPlan`
       adversary and :class:`repro.faults.RetryPolicy` reliability layer;
     * ``budget`` — per-edge per-round bit budget override;
-    * ``minimize`` — ``False`` opts out of the state-space reduction
-      passes of :mod:`repro.algebra.minimize`; ``None`` (the default)
-      means minimize on every engine, which keeps CONGEST transcripts
-      byte-identical across engines (see ``docs/engines.md``);
     * ``trace`` — ``True`` for a fresh :class:`repro.obs.Tracer`, or a
       Tracer instance to record into;
     * ``cache`` — an :class:`repro.algebra.cache.AutomatonCache`
@@ -78,7 +72,6 @@ class RunConfig:
     faults: Optional[Any] = None
     retry: Optional[Any] = None
     budget: Optional[int] = None
-    minimize: Optional[bool] = None
     trace: Any = None
     cache: Optional[Any] = None
     codec: Optional[Any] = None
@@ -91,11 +84,6 @@ class RunConfig:
                 f"unknown inbox order {self.inbox_order!r}; "
                 f"choose from {INBOX_ORDERS}"
             )
-        if self.minimize not in (None, True, False):
-            raise ReproError(
-                f"minimize must be True, False or None, "
-                f"not {self.minimize!r}"
-            )
 
     # -- construction ----------------------------------------------------
 
@@ -103,7 +91,6 @@ class RunConfig:
     def from_kwargs(
         cls,
         config: Optional["RunConfig"] = None,
-        defaults: Optional[Mapping[str, Any]] = None,
         **kwargs: Any,
     ) -> "RunConfig":
         """Normalize a legacy kwargs surface into one validated config.
@@ -111,12 +98,10 @@ class RunConfig:
         ``config`` (when given) is taken whole; keyword arguments must
         then all be ``None`` — mixing both surfaces would make it
         ambiguous which value wins.  Without ``config``, keywords with
-        value ``None`` fall back to ``defaults`` and then the dataclass
-        defaults, so ``from_kwargs(engine=None)`` means "the default
-        engine", exactly like omitting the keyword.  ``defaults`` lets a
-        caller keep a historical default that differs from the dataclass
-        one (the pipelines default to the ``naive`` engine, Session to
-        ``batched``).
+        value ``None`` fall back to the dataclass defaults, so
+        ``from_kwargs(engine=None)`` means "the default engine", exactly
+        like omitting the keyword.  Session and every pipeline share
+        these defaults.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(kwargs) - known
@@ -136,25 +121,11 @@ class RunConfig:
                     f"config must be a RunConfig, not {type(config).__name__}"
                 )
             return config
-        provided = dict(defaults or {})
-        provided.update(
-            (k, v) for k, v in kwargs.items() if v is not None
-        )
-        return cls(**provided)
+        return cls(**{k: v for k, v in kwargs.items() if v is not None})
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         """A copy with ``overrides`` applied (re-validated)."""
         return replace(self, **overrides)
-
-    @property
-    def minimize_enabled(self) -> bool:
-        """Whether the state-space reduction passes apply to this run.
-
-        ``None`` (auto) resolves to ``True`` for every engine: enabling
-        minimization per engine would break the cross-engine
-        byte-identity contract the testkit enforces.
-        """
-        return self.minimize is not False
 
     # -- replay serialization ---------------------------------------------
 

@@ -238,9 +238,13 @@ def test_projection_exists_nonempty():
 
 
 def test_intern_and_num_classes():
+    """States are hash-consed: one id per distinct value, dense from 0."""
     aut = ConstAutomaton((), True)
     sym = make_symbol(1, ())
-    aut.leaf(sym)
-    assert aut.num_classes() >= 1
-    first = aut.intern(aut.leaf(sym))
-    assert aut.intern(aut.leaf(sym)) == first
+    first = aut.leaf(sym)
+    assert aut.num_classes() == 1
+    assert aut.leaf(sym) == first == 0
+    # Every ConstAutomaton transition yields the value 0: still one class.
+    assert aut.forget(1, aut.glue(1, first, first)) == first
+    assert aut.num_classes() == 1
+    assert aut.state_of(first) == 0

@@ -300,3 +300,25 @@ def test_gather_baseline_rounds_grow_with_size():
     small = gather_decide(gen.path(8), props.is_acyclic)
     large = gather_decide(gen.path(40), props.is_acyclic)
     assert large.rounds > small.rounds
+
+
+def test_deep_forest_decide_matches_sequential():
+    """Algorithm 2 proves treedepth <= d with a forest up to 2^d - 1 deep.
+
+    C5 at d=3 recovers a depth-5 forest, so boundaries deeper than d
+    occur; the protocols must stay exact there (a depth-bounded state
+    quotient once returned an infeasible vertex cover on this input).
+    """
+    from repro.algebra import check as sequential_check
+    from repro.treedepth import best_heuristic_forest
+
+    g = gen.cycle(5)
+    phi = formulas.h_free(gen.triangle())
+    expected = sequential_check(phi, g, best_heuristic_forest(g))
+    assert decide_pipeline(compile_formula(phi), g, 3).accepted == expected
+    s = vertex_set("S")
+    cover = optimize_pipeline(
+        compile_formula(formulas.vertex_cover(s), (s,)), g, 3, maximize=False
+    )
+    assert cover.value == props.min_vertex_cover(g)[0]
+    assert all(u in cover.witness or v in cover.witness for u, v in g.edges())

@@ -58,7 +58,7 @@ def _snapshot(result):
 
 
 def test_engines_registered():
-    assert set(ENGINES) == {"naive", "batched", "vectorized"}
+    assert set(ENGINES) == {"naive", "batched"}
 
 
 @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "naive"])

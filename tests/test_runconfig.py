@@ -1,8 +1,9 @@
 """RunConfig: the single validated configuration surface.
 
-Covers the from_kwargs funnel (defaults, None-means-default, the
+Covers the from_kwargs funnel (None-means-default, the
 config-vs-kwargs clash), typed engine validation, the JSON replay
-round-trip, and the Session/pipeline integration points.
+round-trip (including refusal of retired options), and the
+Session/pipeline integration points.
 """
 
 import dataclasses
@@ -40,7 +41,7 @@ def test_unknown_engine_typed():
     message = str(exc.value)
     assert "warp" in message
     # The error must name every valid engine.
-    for engine in ("naive", "batched", "vectorized"):
+    for engine in ("naive", "batched"):
         assert engine in message
 
 
@@ -54,18 +55,8 @@ def test_from_kwargs_none_means_default():
     assert cfg == RunConfig()
 
 
-def test_from_kwargs_defaults_mapping():
-    cfg = RunConfig.from_kwargs(defaults={"engine": "naive"}, engine=None)
-    assert cfg.engine == "naive"
-    # An explicit kwarg beats the caller default.
-    cfg = RunConfig.from_kwargs(
-        defaults={"engine": "naive"}, engine="vectorized"
-    )
-    assert cfg.engine == "vectorized"
-
-
 def test_from_kwargs_config_passthrough():
-    cfg = RunConfig(seed=9, engine="vectorized")
+    cfg = RunConfig(seed=9, engine="naive")
     assert RunConfig.from_kwargs(cfg) is cfg
 
 
@@ -84,14 +75,14 @@ def test_from_kwargs_unknown_key():
 
 def test_with_overrides_revalidates():
     cfg = RunConfig()
-    assert cfg.with_overrides(engine="vectorized").engine == "vectorized"
+    assert cfg.with_overrides(engine="naive").engine == "naive"
     with pytest.raises(UnknownEngineError):
         cfg.with_overrides(engine="warp")
 
 
 def test_json_round_trip():
     cfg = RunConfig(
-        seed=7, inbox_order="sorted", engine="vectorized",
+        seed=7, inbox_order="sorted", engine="naive",
         faults=FaultPlan(seed=3, drop_rate=0.1),
         retry=RetryPolicy(attempts=2), budget=64,
     )
@@ -114,13 +105,13 @@ def test_from_json_rejects_nonreplay_fields():
 
 def test_session_accepts_config():
     g = gen.random_bounded_treedepth(12, 3, seed=4)
-    cfg = RunConfig(seed=5, engine="vectorized", inbox_order="reversed")
+    cfg = RunConfig(seed=5, engine="naive", inbox_order="reversed")
     session = Session(g, 3, config=cfg)
-    assert session.engine == "vectorized"
+    assert session.engine == "naive"
     assert session.seed == 5
     result = session.decide(formulas.triangle_free())
     assert isinstance(result, Result)
-    assert result.replay_args["engine"] == "vectorized"
+    assert result.replay_args["engine"] == "naive"
 
 
 def test_session_config_kwargs_clash():
@@ -132,13 +123,13 @@ def test_session_config_kwargs_clash():
 def test_session_replay_round_trip():
     g = gen.random_bounded_treedepth(12, 3, seed=4)
     first = Session(
-        g, 3, seed=11, engine="vectorized", inbox_order="shuffle",
+        g, 3, seed=11, engine="naive", inbox_order="shuffle",
     ).decide(formulas.triangle_free())
     replay = json.loads(json.dumps(dict(first.replay_args)))
     second = Session.from_replay(g, 3, replay).decide(
         formulas.triangle_free()
     )
-    assert second.replay_args["engine"] == "vectorized"
+    assert second.replay_args["engine"] == "naive"
     assert (first.verdict, first.rounds, first.messages,
             first.max_payload_bits) == \
            (second.verdict, second.rounds, second.messages,
@@ -148,10 +139,10 @@ def test_session_replay_round_trip():
 def test_pipelines_accept_config():
     g = gen.random_bounded_treedepth(12, 3, seed=4)
     automaton = compile_formula(formulas.triangle_free())
-    cfg = RunConfig(seed=2, engine="vectorized")
+    cfg = RunConfig(seed=2, engine="naive")
     via_config = decide_pipeline(automaton, g, 3, config=cfg)
     via_kwargs = decide_pipeline(
-        automaton, g, 3, seed=2, engine="vectorized"
+        automaton, g, 3, seed=2, engine="naive"
     )
     assert via_config.accepted == via_kwargs.accepted  # pipeline result field
     assert via_config.total_rounds == via_kwargs.total_rounds
@@ -159,15 +150,36 @@ def test_pipelines_accept_config():
         decide_pipeline(automaton, g, 3, seed=2, config=cfg)
 
 
-def test_pipeline_default_engine_is_naive():
-    # Pipelines keep their historical default; Session defaults batched.
+def test_pipeline_default_engine_is_batched():
+    # Pipelines and Session share the RunConfig default.
     g = gen.random_bounded_treedepth(10, 3, seed=1)
     formula, variables = formulas.triangle_assignment()
     automaton = compile_formula(formula, variables)
     default_run = count_pipeline(automaton, g, 3, seed=1)
-    naive_run = count_pipeline(automaton, g, 3, seed=1, engine="naive")
-    assert default_run == naive_run
+    batched_run = count_pipeline(automaton, g, 3, seed=1, engine="batched")
+    assert default_run == batched_run
     assert Session(g, 3).engine == "batched"
+
+
+def test_replay_of_removed_engine_fails_loudly():
+    # engine="vectorized" was retired; replaying it must not silently
+    # pick another scheduler.
+    g = gen.path(4)
+    with pytest.raises(UnknownEngineError, match="vectorized"):
+        RunConfig.from_json({"seed": 1, "engine": "vectorized"})
+    with pytest.raises(UnknownEngineError, match="vectorized"):
+        Session.from_replay(g, 2, {"engine": "vectorized"})
+
+
+def test_replay_of_removed_minimize_option_fails_loudly():
+    # The minimize knob was retired; an old replay carrying it must be
+    # refused by the strict unknown-key check, never run differently.
+    g = gen.path(4)
+    for value in (None, False, True):
+        with pytest.raises(ReproError, match="unknown replay"):
+            RunConfig.from_json({"engine": "batched", "minimize": value})
+        with pytest.raises(ReproError, match="unknown replay"):
+            Session.from_replay(g, 2, {"minimize": value})
 
 
 def test_unknown_engine_everywhere():

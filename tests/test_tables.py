@@ -1,10 +1,13 @@
-"""TabulatedAutomaton: the vectorized kernel behind ``engine="vectorized"``.
+"""Hash-consed state ids and the id-keyed transition tables.
 
-The wrapper must be a drop-in TreeAutomaton — same states, same class
-ids, same accepts — while exposing the integer-id fast path used by the
-vectorized engine.  These tests pin the equivalence, the dict fallback
-when numpy is unavailable, pickling through the automaton cache, and
-the digest memoization of identical subtree joins.
+Every :class:`~repro.algebra.automata.TreeAutomaton` interns its states
+into dense integer ids and memoizes ``leaf`` / ``glue`` / ``forget`` in
+id-keyed tables; the whole-table joins the distributed protocols replay
+(``fold_decide``, ``merge_counts``, ``fold_forget_counts``) are memoized
+on top.  These tests pin that the ids round-trip to canonical values,
+that the memoized joins agree with the transition-by-transition
+reference loops of :mod:`repro.algebra.engine`, and that the tables
+survive pickling through the automaton cache.
 """
 
 import pickle
@@ -12,15 +15,21 @@ import pickle
 import pytest
 
 from repro.algebra import (
-    TabulatedAutomaton,
+    ComplementAutomaton,
+    base_structure,
     check,
     compile_formula,
     count,
+    enumerate_symbol_choices,
+    owned_items,
     run_states,
-    tabulated,
+    symbol_for_assignment,
 )
-from repro.algebra import tables as tables_mod
+from repro.algebra import automata
+from repro.algebra.cache import _table_entries
+from repro.algebra.compiler import compile_with_singletons
 from repro.graph import generators as gen
+from repro.graph import properties
 from repro.mso import formulas, vertex_set
 from repro.treedepth import best_heuristic_forest
 
@@ -35,146 +44,168 @@ def forest(graph):
     return best_heuristic_forest(graph)
 
 
-def _fresh_pair():
-    """A plain automaton and an independently compiled tabulated twin."""
-    plain = compile_formula(formulas.triangle_free())
-    tab = tabulated(compile_formula(formulas.triangle_free()))
-    return plain, tab
+def _fold_run(automaton, graph, forest):
+    """The decision replay through the memoized ``fold_decide`` join."""
+    after = {}
+    for v in forest.bottom_up_order():
+        k = forest.depth_of(v)
+        vertex_item, edge_items = owned_items(graph, forest, v)
+        symbol = symbol_for_assignment(
+            base_structure(graph, forest, v), automaton.scope,
+            vertex_item, edge_items, {},
+        )
+        after[v] = automaton.fold_decide(
+            k, automaton.leaf(symbol),
+            tuple(after.pop(c) for c in forest.children(v)),
+        )
+    total = None
+    for root in forest.roots():
+        sid = after.pop(root)
+        total = sid if total is None else automaton.glue(0, total, sid)
+    return total
 
 
-def test_tabulated_idempotent():
-    plain = compile_formula(formulas.triangle_free())
-    tab = tabulated(plain)
-    assert isinstance(tab, TabulatedAutomaton)
-    assert tabulated(tab) is tab
-    assert tabulated(plain) is tab  # memoized on the inner automaton
+def _joined_count(automaton, graph, forest):
+    """COUNT replay through ``merge_counts`` / ``fold_forget_counts``."""
+    tables = {}
+    for v in forest.bottom_up_order():
+        k = forest.depth_of(v)
+        vertex_item, edge_items = owned_items(graph, forest, v)
+        leaf = {}
+        for choice in enumerate_symbol_choices(
+            base_structure(graph, forest, v), automaton.scope,
+            vertex_item, edge_items,
+        ):
+            sid = automaton.leaf(choice.symbol)
+            leaf[sid] = leaf.get(sid, 0) + 1
+        table = tuple(leaf.items())
+        for child in forest.children(v):
+            table = automaton.merge_counts(k, table, tables.pop(child))
+        tables[v] = automaton.fold_forget_counts(k, table)
+    roots = forest.roots()
+    combined = tables[roots[0]]
+    for root in roots[1:]:
+        combined = automaton.merge_counts(0, combined, tables[root])
+    return sum(c for sid, c in combined if automaton.accepts(sid))
 
 
 def test_id_round_trip(graph, forest):
-    plain, tab = _fresh_pair()
-    state = run_states(tab, graph, forest)
-    sid = tab.id_of(state)
-    assert tab.state_of(sid) == state
-    assert tab.id_of(tab.state_of(sid)) == sid
-    assert tab.accepts_id(sid) == tab.accepts(state)
+    automaton = compile_formula(formulas.triangle_free())
+    sid = run_states(automaton, graph, forest)
+    assert 0 <= sid < automaton.num_classes()
+    state = automaton.state_of(sid)
+    # An independently compiled twin numbers the same run identically.
+    twin = compile_formula(formulas.triangle_free())
+    assert run_states(twin, graph, forest) == sid
+    assert twin.state_of(sid) == state
+    # The public, memoized acceptance agrees with the value-level hook
+    # of the automaton that owns the ids (the complement delegates).
+    assert automaton.accepts(sid) == (not automaton._inner._accepts(state))
 
 
 def test_run_states_matches_state_level(graph, forest):
-    plain, tab = _fresh_pair()
-    assert run_states(tab, graph, forest) == run_states(plain, graph, forest)
+    reference = compile_formula(formulas.triangle_free())
+    memoized = compile_formula(formulas.triangle_free())
+    expected = run_states(reference, graph, forest)
+    assert _fold_run(memoized, graph, forest) == expected
+    # A second replay is served by the join memo and agrees.
+    assert _fold_run(memoized, graph, forest) == expected
 
 
 def test_check_matches_state_level(graph, forest):
     phi = formulas.triangle_free()
-    plain = compile_formula(phi)
-    tab = tabulated(compile_formula(phi))
-    assert check(phi, graph, forest, automaton=tab) == \
-        check(phi, graph, forest, automaton=plain)
+    expected = properties.count_triangles(graph) == 0
+    assert check(phi, graph, forest) == expected
+    automaton = compile_formula(phi)
+    assert automaton.accepts(_fold_run(automaton, graph, forest)) == expected
 
 
 def test_count_matches_state_level(graph, forest):
     formula, variables = formulas.triangle_assignment()
     expected = count(formula, graph, forest, variables)
-    got = count(formula, graph, forest, variables)
-    assert got == expected
-    # And through an explicitly tabulated singleton automaton.
-    from repro.algebra.compiler import compile_with_singletons
-
-    automaton = tabulated(compile_with_singletons(formula, variables))
+    assert expected == 6 * properties.count_triangles(graph)
+    automaton = compile_with_singletons(formula, variables)
+    assert _joined_count(automaton, graph, forest) == expected
+    # The reference loop on the warmed automaton still agrees.
     assert count(formula, graph, forest, variables,
                  automaton=automaton) == expected
 
 
 def test_glue_and_forget_tables(graph, forest):
-    _, tab = _fresh_pair()
-    run_states(tab, graph, forest)  # populate the tables
-    assert tab.table_entries() > 0
+    automaton = compile_formula(formulas.triangle_free())
+    first = run_states(automaton, graph, forest)  # populate the tables
+    assert _table_entries(automaton) > 0
     # Re-running hits the tables, never changes the answers.
-    before = tab.table_entries()
-    first = run_states(tab, graph, forest)
-    assert run_states(tab, graph, forest) == first
-    assert tab.table_entries() == before
-
-
-def test_dict_fallback_matches_numpy(graph, forest):
-    """Simulating a numpy-less install must not change anything."""
-    plain, tab = _fresh_pair()
-    fallback = tabulated(compile_formula(formulas.triangle_free()))
-    assert fallback is not tab
-    fallback._np = None  # what ``import numpy`` failing looks like
-    assert run_states(fallback, graph, forest) == \
-        run_states(tab, graph, forest)
-    assert fallback.table_entries() == tab.table_entries()
-
-
-def test_module_level_numpy_absence(monkeypatch, graph, forest):
-    """A fresh wrapper built while numpy is unimportable still works."""
-    monkeypatch.setattr(tables_mod, "_np", None)
-    tab = tabulated(compile_formula(formulas.triangle_free()))
-    assert tab._np is None
-    plain = compile_formula(formulas.triangle_free())
-    assert run_states(tab, graph, forest) == run_states(plain, graph, forest)
-
-
-def test_vectorized_pipeline_without_numpy(monkeypatch):
-    """The CONGEST vectorized engine survives a numpy-less install."""
-    monkeypatch.setattr(tables_mod, "_np", None)
-    from repro.api import Session
-
-    g = gen.random_bounded_treedepth(12, 3, seed=3)
-    fast = Session(g, 3, seed=1, engine="vectorized").decide(
-        formulas.triangle_free()
-    )
-    slow = Session(g, 3, seed=1, engine="batched").decide(
-        formulas.triangle_free()
-    )
-    assert (fast.verdict, fast.rounds, fast.messages,
-            fast.max_payload_bits, fast.num_classes) == \
-           (slow.verdict, slow.rounds, slow.messages,
-            slow.max_payload_bits, slow.num_classes)
+    before = _table_entries(automaton)
+    assert run_states(automaton, graph, forest) == first
+    assert _table_entries(automaton) == before
 
 
 def test_pickle_round_trip(graph, forest):
-    _, tab = _fresh_pair()
-    expected = run_states(tab, graph, forest)
-    clone = pickle.loads(pickle.dumps(tab))
-    assert isinstance(clone, TabulatedAutomaton)
+    automaton = compile_formula(formulas.triangle_free())
+    expected = run_states(automaton, graph, forest)
+    clone = pickle.loads(pickle.dumps(automaton))
     # The clone keeps the learned tables and the id assignment.
-    assert clone.table_entries() == tab.table_entries()
+    assert _table_entries(clone) == _table_entries(automaton)
+    assert clone.num_classes() == automaton.num_classes()
     assert run_states(clone, graph, forest) == expected
+    assert _table_entries(clone) == _table_entries(automaton)
 
 
-def test_pickle_upgrades_dict_backend(graph, forest):
-    """A kernel persisted without numpy loads as arrays when numpy is back."""
-    if tables_mod._np is None:
-        pytest.skip("needs numpy to upgrade into")
-    _, tab = _fresh_pair()
-    tab._np = None  # build dict-backed tables, as a numpy-less process would
-    expected = run_states(tab, graph, forest)
-    clone = pickle.loads(pickle.dumps(tab))
-    assert clone._np is tables_mod._np
-    assert all(not isinstance(t, dict) for t in clone._glue_tables.values())
-    assert clone.table_entries() == tab.table_entries()
-    assert run_states(clone, graph, forest) == expected
-
-
-def test_digest_memoizes_identical_subtrees():
-    _, tab = _fresh_pair()
-    pairs = ((0, 2), (1, 3))
-    assert tab.table_digest(pairs) == tab.table_digest(tuple(pairs))
-    assert tab.table_digest(pairs) != tab.table_digest(((0, 2),))
+def test_digest_memoizes_identical_subtrees(graph, forest):
+    formula, variables = formulas.triangle_assignment()
+    automaton = compile_with_singletons(formula, variables)
+    _joined_count(automaton, graph, forest)
+    symbol = next(iter(automaton._leaf_table))
+    k, leaf = symbol.depth, automaton.leaf(symbol)
+    table = ((leaf, 2),)
+    folded = automaton.fold_forget_counts(k, table)
+    entries = automaton.table_entries()
+    # An equal (not identical) table hits the memo: same object back,
+    # no new table entries.
+    assert automaton.fold_forget_counts(k, ((leaf, 2),)) is folded
+    assert automaton.table_entries() == entries
+    # The counts are part of the key, not only the state ids.
+    assert automaton.fold_forget_counts(k, ((leaf, 3),)) is not folded
 
 
 def test_num_classes_shared_with_inner(graph, forest):
-    plain = compile_formula(formulas.triangle_free())
-    tab = tabulated(plain)
-    run_states(tab, graph, forest)
-    # intern/num_classes delegate to the wrapped automaton.
-    assert tab.num_classes() == plain.num_classes()
+    inner = compile_formula(formulas.triangle_free())
+    negated = ComplementAutomaton(inner.scope, inner)
+    sid = run_states(negated, graph, forest)
+    # The complement adds no id space or tables of its own.
+    assert negated.num_classes() == inner.num_classes()
+    assert negated.table_entries() == 0
+    assert negated.state_of(sid) == inner.state_of(sid)
+    assert negated.accepts(sid) != inner.accepts(sid)
+
+
+def test_join_memo_is_bounded(graph, forest, monkeypatch):
+    formula, variables = formulas.triangle_assignment()
+    expected = 6 * properties.count_triangles(graph)
+    monkeypatch.setattr(automata, "JOIN_MEMO_LIMIT", 4)
+    automaton = compile_with_singletons(formula, variables)
+    for _ in range(2):
+        # An emptied memo only costs recomputation, never an answer.
+        assert _joined_count(automaton, graph, forest) == expected
+        assert len(automaton._joins) <= 4
+        assert len(automaton._digests) <= 2 * 4
+
+
+def test_join_memo_is_not_persisted(graph, forest):
+    formula, variables = formulas.triangle_assignment()
+    automaton = compile_with_singletons(formula, variables)
+    expected = _joined_count(automaton, graph, forest)
+    entries = automaton.table_entries()
+    assert automaton._joins
+    clone = pickle.loads(pickle.dumps(automaton))
+    assert not clone._joins and not clone._digests
+    assert clone.table_entries() == entries
+    assert _joined_count(clone, graph, forest) == expected
 
 
 def test_optimize_unaffected(graph, forest):
-    """Sequential optimize stays state-level even for tabulated input."""
+    """Sequential optimize runs the reference loops over state ids."""
     from repro.algebra import optimize
 
     s = vertex_set("S")
