@@ -20,8 +20,8 @@ Every workload returns the same frozen :class:`Result`, whose
 
 A session compiles formulas through the process-wide
 :class:`~repro.algebra.cache.AutomatonCache` (transition tables and class
-ids persist across processes) and runs protocols on the batched engine by
-default — both differentially identical to the cold, naive baseline.
+ids persist across processes) and runs protocols on the one CONGEST round
+scheduler (:class:`repro.congest.Simulation`).
 The legacy PR-4 entry points (``repro.distributed.decide``,
 ``optimize_distributed``, ``count_distributed``) are gone; every caller
 goes through a Session or a ``*_pipeline`` function.
@@ -66,7 +66,7 @@ class Result:
 
     ``replay_args`` are :class:`Session` keyword arguments:
     ``Session(graph, d, **result.replay_args)`` re-runs the same schedule,
-    faults, retry policy, and engine, reproducing the run exactly.
+    faults, and retry policy, reproducing the run exactly.
 
     ``cache_hits`` / ``cache_misses`` are the
     :class:`~repro.algebra.cache.AutomatonCache` deltas attributable to
@@ -141,7 +141,6 @@ class _Observation:
             formula=str(formula),
             graph=session.graph,
             d=session.d,
-            engine=session.engine,
             verdict=fields.get("verdict"),
             treedepth_exceeded=fields.get("treedepth_exceeded", False),
             value=fields.get("value"),
@@ -192,9 +191,6 @@ class Session:
         :class:`repro.congest.Simulation`).
     budget:
         Per-edge per-round bit budget override (default O(log n)).
-    engine:
-        ``"batched"`` (default) or ``"naive"`` — differentially identical
-        schedulers; batched is the fast one.
     cache:
         An :class:`~repro.algebra.cache.AutomatonCache`; defaults to the
         process-wide persistent cache.  Compiled automata and class ids
@@ -218,7 +214,6 @@ class Session:
         seed: Optional[int] = None,
         inbox_order: Optional[str] = None,
         budget: Optional[int] = None,
-        engine: Optional[str] = None,
         cache: Optional[AutomatonCache] = None,
         record: Union[bool, str, None] = False,
         config: Optional[RunConfig] = None,
@@ -231,7 +226,6 @@ class Session:
             seed=seed,
             inbox_order=inbox_order,
             budget=budget,
-            engine=engine,
             cache=cache,
         )
         self.graph = graph
@@ -241,7 +235,6 @@ class Session:
         self.seed = self.config.seed
         self.inbox_order = self.config.inbox_order
         self.budget = self.config.budget
-        self.engine = self.config.engine
         self.cache = (
             self.config.cache if self.config.cache is not None
             else default_cache()
@@ -451,8 +444,7 @@ class Session:
         with self._observe("certify") as obs:
             automaton, _codec = self._compiled(phi, ())
             instance = prove(self.graph, automaton)
-            audit = verify(self.graph, automaton, instance,
-                           engine=self.engine)
+            audit = verify(self.graph, automaton, instance)
             self.cache.save_warm()
             return obs.result(
                 phi,

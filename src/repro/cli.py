@@ -168,8 +168,7 @@ def _session(graph: Graph, args: argparse.Namespace, **kwargs) -> Session:
         with open(config_path) as handle:
             config = RunConfig.from_json(json.load(handle))
         return Session(graph, args.d, config=config, **kwargs)
-    engine = getattr(args, "engine", None)
-    return Session(graph, args.d, engine=engine or "batched", **kwargs)
+    return Session(graph, args.d, **kwargs)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -512,7 +511,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 0
         for r in reports:
             print(f"{r.run_id[:12]}  {r.workload:<8}  "
-                  f"n={r.graph['n']} d={r.d} engine={r.engine}  "
+                  f"n={r.graph['n']} d={r.d}  "
                   f"rounds={r.metrics['rounds']} "
                   f"messages={r.metrics['messages']}  "
                   f"verdict={r.verdict}")
@@ -562,13 +561,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .obs.benchgate import check_bench
 
     fresh = args.fresh or sorted(glob.glob("BENCH_*.json"))
-    result = check_bench(
-        fresh,
-        args.baselines,
-        speedup_tolerance=args.speedup_tolerance,
-        speedup_floor=args.speedup_floor,
-        time_tolerance=args.time_tolerance,
-    )
+    result = check_bench(fresh, args.baselines,
+                         time_tolerance=args.time_tolerance)
     print(result.render())
     return 0 if result.ok else 1
 
@@ -626,15 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the distributed protocol instead of Algorithm 1")
         p.add_argument("--d", type=int, default=3,
                        help="treedepth promise for CONGEST runs (default 3)")
-        p.add_argument("--engine", choices=["batched", "naive"],
-                       default=None,
-                       help="round scheduler for CONGEST runs "
-                       "(byte-identical; batched is the fast one — see "
-                       "docs/engines.md)")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON RunConfig replay file (seed/inbox_order/"
-                       "engine/faults/retry/budget); mutually exclusive "
-                       "with --engine")
+                       "faults/retry/budget)")
         p.add_argument("--record", nargs="?", const=True, default=False,
                        metavar="DIR",
                        help="persist the RunReport to the run store "
@@ -731,9 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(0 = no reliability layer)")
     p_faults.add_argument("--d", type=int, default=3,
                           help="treedepth promise (default 3)")
-    p_faults.add_argument("--engine", choices=["batched", "naive"],
-                          default="batched",
-                          help="execution engine (differentially identical)")
     p_faults.add_argument("--seed", type=int, default=None,
                           help="inbox-order seed for the simulator")
     p_faults.add_argument("--catalog", default="triangle-free",
@@ -750,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the metamorphic conformance harness",
         description="Generates seeded conformance cases and checks the "
         "CONGEST pipeline against sequential semantics (differential "
-        "matrix over engines, inbox orders, and fault plans, plus "
+        "matrix over inbox orders and fault plans, plus "
         "metamorphic relations).  Failing cases are shrunk and written "
         "to the corpus as content-addressed replay files.  Exit codes "
         "mirror `repro faults`: 0 conformant, 1 discrepancies, 2 "
@@ -850,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compares fresh BENCH_*.json results (benchmarks/"
         "bench_engine.py --out) against committed baselines matched by "
         "(benchmark, mode).  Exits 1 on any regression: changed "
-        "verdicts/rounds on a matching grid, or a speedup below both the "
-        "relative tolerance and the absolute floor.",
+        "verdicts/rounds on a matching grid, a missing experiment or "
+        "baseline, or (with --time-tolerance) slower cold/warm seconds.",
     )
     bench_sub = p_bench.add_subparsers(dest="bench_cmd", required=True)
     p_bcheck = bench_sub.add_parser("check", help="gate fresh results")
@@ -862,12 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="DIR",
                           help="baseline directory (default "
                           "benchmarks/baselines)")
-    p_bcheck.add_argument("--speedup-tolerance", type=float, default=0.5,
-                          help="allowed relative speedup drop (default 0.5 "
-                          "= may fall to 50%% of baseline)")
-    p_bcheck.add_argument("--speedup-floor", type=float, default=1.0,
-                          help="absolute speedup that always passes "
-                          "(default 1.0)")
     p_bcheck.add_argument("--time-tolerance", type=float, default=None,
                           help="also gate raw seconds within this relative "
                           "tolerance (off by default: machine-dependent)")

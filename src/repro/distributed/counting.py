@@ -146,13 +146,12 @@ def count_pipeline(
     seed: Optional[int] = None,
     faults=None,
     retry=None,
-    engine: Optional[str] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedCount:
     """Run Algorithm 2 followed by the counting convergecast.
 
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` / ``engine`` have
+    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
     the same semantics as in :func:`.model_checking.decide_pipeline`; any
     crash raises :class:`~repro.errors.FaultToleranceExceeded` — a count
     over a partial network is not the count.  All knobs may instead come
@@ -168,14 +167,13 @@ def count_pipeline(
         seed=seed,
         faults=faults,
         retry=retry,
-        engine=engine,
         codec=codec,
     )
     tracer = resolve_tracer(cfg.trace)
     elim = build_elimination_tree(
         graph, d, budget=cfg.budget, tracer=tracer,
         inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry, engine=cfg.engine,
+        retry=cfg.retry,
     )
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -219,7 +217,6 @@ def count_pipeline(
             inbox_order=cfg.inbox_order,
             seed=cfg.seed,
             faults=cfg.faults,
-            engine=cfg.engine,
         )
     if result.crashed:
         raise FaultToleranceExceeded(

@@ -226,7 +226,6 @@ def decide_pipeline(
     seed: Optional[int] = None,
     faults=None,
     retry=None,
-    engine: Optional[str] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedDecision:
@@ -260,14 +259,13 @@ def decide_pipeline(
         seed=seed,
         faults=faults,
         retry=retry,
-        engine=engine,
         codec=codec,
     )
     tracer = resolve_tracer(cfg.trace)
     elim = build_elimination_tree(
         graph, d, budget=cfg.budget, tracer=tracer,
         inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry, engine=cfg.engine,
+        retry=cfg.retry,
     )
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -311,7 +309,6 @@ def decide_pipeline(
             inbox_order=cfg.inbox_order,
             seed=cfg.seed,
             faults=cfg.faults,
-            engine=cfg.engine,
         )
     if result.crashed:
         raise FaultToleranceExceeded(

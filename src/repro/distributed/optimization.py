@@ -239,14 +239,13 @@ def optimize_pipeline(
     seed: Optional[int] = None,
     faults=None,
     retry=None,
-    engine: Optional[str] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedOptimization:
     """Run Algorithm 2 followed by the optimization protocol.
 
     ``automaton`` must be compiled with scope = (S,), the free set variable.
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` / ``engine`` have
+    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
     the same semantics as in :func:`.model_checking.decide_pipeline`: both
     phases share the adversary, and any crash raises
     :class:`~repro.errors.FaultToleranceExceeded` — an optimum computed on
@@ -263,14 +262,13 @@ def optimize_pipeline(
         seed=seed,
         faults=faults,
         retry=retry,
-        engine=engine,
         codec=codec,
     )
     tracer = resolve_tracer(cfg.trace)
     elim = build_elimination_tree(
         graph, d, budget=cfg.budget, tracer=tracer,
         inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry, engine=cfg.engine,
+        retry=cfg.retry,
     )
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -316,7 +314,6 @@ def optimize_pipeline(
             inbox_order=cfg.inbox_order,
             seed=cfg.seed,
             faults=cfg.faults,
-            engine=cfg.engine,
         )
     if result.crashed:
         raise FaultToleranceExceeded(

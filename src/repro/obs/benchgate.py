@@ -9,11 +9,7 @@ Compares fresh ``BENCH_*.json`` results (as written by
   changed answer or round count is a correctness-adjacent regression, not
   a perf wobble.  Grid mismatches (e.g. a smoke fresh run against a full
   baseline) skip the checks comparison with a note.
-* **speedup** — the fresh speedup must stay within a relative tolerance
-  of the baseline (default: may drop to 50% of baseline), *unless* it is
-  still above an absolute floor (default 1.0x: batched no slower than
-  naive), which absorbs timing noise on shared CI machines.
-* **wall-clock** — ``naive_seconds`` / ``batched_seconds`` are compared
+* **wall-clock** — ``cold_seconds`` / ``warm_seconds`` are compared
   only when a time tolerance is given explicitly; raw seconds are too
   machine-dependent to gate by default.
 
@@ -34,8 +30,6 @@ __all__ = ["BenchBreach", "BenchCheck", "check_bench", "compare_bench",
            "load_baselines"]
 
 DEFAULT_BASELINE_DIR = os.path.join("benchmarks", "baselines")
-DEFAULT_SPEEDUP_TOLERANCE = 0.5
-DEFAULT_SPEEDUP_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -104,8 +98,6 @@ def compare_bench(
     fresh: Dict[str, Any],
     baseline: Dict[str, Any],
     *,
-    speedup_tolerance: float = DEFAULT_SPEEDUP_TOLERANCE,
-    speedup_floor: float = DEFAULT_SPEEDUP_FLOOR,
     time_tolerance: Optional[float] = None,
 ) -> BenchCheck:
     """Compare one fresh bench result dict against its baseline."""
@@ -143,21 +135,8 @@ def compare_bench(
             lines.append(f"  {exp}: grid differs from baseline; "
                          "correctness checks skipped")
 
-        fs, bs = f.get("speedup"), b.get("speedup")
-        if isinstance(fs, (int, float)) and isinstance(bs, (int, float)):
-            limit = bs * (1 - speedup_tolerance)
-            if fs < limit and fs < speedup_floor:
-                breaches.append(BenchBreach(
-                    name, exp, "speedup", fs, bs,
-                    f"below {limit:.2f}x (={100 * (1 - speedup_tolerance):g}% "
-                    f"of baseline) and below the {speedup_floor:g}x floor",
-                ))
-                lines.append(f"  {exp}: speedup {fs}x vs baseline {bs}x SLOW")
-            else:
-                lines.append(f"  {exp}: speedup {fs}x vs baseline {bs}x ok")
-
         if time_tolerance is not None:
-            for metric in ("naive_seconds", "batched_seconds"):
+            for metric in ("cold_seconds", "warm_seconds"):
                 fv, bv = f.get(metric), b.get(metric)
                 if not isinstance(fv, (int, float)) \
                         or not isinstance(bv, (int, float)):
@@ -177,8 +156,6 @@ def check_bench(
     fresh_paths: Sequence[Union[str, os.PathLike]],
     baseline_dir: Union[str, os.PathLike] = DEFAULT_BASELINE_DIR,
     *,
-    speedup_tolerance: float = DEFAULT_SPEEDUP_TOLERANCE,
-    speedup_floor: float = DEFAULT_SPEEDUP_FLOOR,
     time_tolerance: Optional[float] = None,
 ) -> BenchCheck:
     """Gate every fresh result file against the committed baselines.
@@ -217,12 +194,7 @@ def check_bench(
             ))
             lines.append(f"bench {key[0]} (mode {key[1]}): NO BASELINE")
             continue
-        result = compare_bench(
-            fresh, baseline,
-            speedup_tolerance=speedup_tolerance,
-            speedup_floor=speedup_floor,
-            time_tolerance=time_tolerance,
-        )
+        result = compare_bench(fresh, baseline, time_tolerance=time_tolerance)
         lines.extend(result.lines)
         breaches.extend(result.breaches)
     return BenchCheck(lines=tuple(lines), breaches=tuple(breaches))

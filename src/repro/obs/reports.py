@@ -5,12 +5,12 @@ A :class:`RunReport` is one JSON-serializable record per
 ``Session.decide/optimize/count/certify`` call: the verdict, the
 round/message/bit accounting (with the concatenated per-round load
 profile), per-phase rounds, fault and retransmission counts,
-:class:`~repro.algebra.cache.AutomatonCache` hit/miss deltas, the engine
-and replay arguments, and an environment fingerprint.  Reports are
+:class:`~repro.algebra.cache.AutomatonCache` hit/miss deltas, the replay
+arguments, and an environment fingerprint.  Reports are
 **content-addressed**: ``run_id`` is the SHA-256 of the report's
 *deterministic core* (everything except wall-clock and timestamps), so
-two byte-identical executions — same graph, formula, seed, inbox order,
-engine — produce the same id on the same machine.
+two byte-identical executions — same graph, formula, seed, inbox order —
+produce the same id on the same machine.
 
 Reports persist to a local **run store**: an append-only
 ``runs.jsonl`` under ``.repro/runs/`` (override the directory with the
@@ -49,8 +49,10 @@ __all__ = [
     "programs_for_workload",
 ]
 
-#: Bump when the report schema changes incompatibly.
-REPORT_SCHEMA = 1
+#: Bump when the report schema changes incompatibly.  Schema 2 dropped
+#: the ``engine`` field; :meth:`RunReport.from_dict` still loads schema-1
+#: records, ignoring keys it no longer knows.
+REPORT_SCHEMA = 2
 
 #: Node programs executed by each Session workload, as
 #: ``(module, lint qualname)`` pairs — the lookup table the RL009
@@ -114,7 +116,6 @@ class RunReport:
     formula: str
     graph: Mapping[str, int]
     d: int
-    engine: str
     verdict: Optional[bool]
     treedepth_exceeded: bool
     value: Optional[int]
@@ -187,7 +188,6 @@ def build_report(
     formula: str,
     graph: Any,
     d: int,
-    engine: str,
     verdict: Optional[bool],
     treedepth_exceeded: bool,
     value: Optional[int],
@@ -226,7 +226,6 @@ def build_report(
         formula=formula,
         graph={"n": graph.num_vertices(), "m": graph.num_edges()},
         d=d,
-        engine=engine,
         verdict=verdict,
         treedepth_exceeded=treedepth_exceeded,
         value=value,
@@ -344,7 +343,6 @@ def render_markdown(report: RunReport) -> str:
         f"- **formula**: `{report.formula}`",
         f"- **graph**: n={report.graph['n']}, m={report.graph['m']}, "
         f"d={report.d}",
-        f"- **engine**: {report.engine}",
         f"- **verdict**: {report.verdict} "
         f"(treedepth_exceeded={report.treedepth_exceeded})",
     ]
@@ -503,9 +501,9 @@ class ReportDiff:
         out = [
             "run report diff",
             f"  A: {self.a.run_id[:12]}  {self.a.workload} "
-            f"n={self.a.graph['n']} d={self.a.d} engine={self.a.engine}",
+            f"n={self.a.graph['n']} d={self.a.d}",
             f"  B: {self.b.run_id[:12]}  {self.b.workload} "
-            f"n={self.b.graph['n']} d={self.b.d} engine={self.b.engine}",
+            f"n={self.b.graph['n']} d={self.b.d}",
             "",
         ]
         header = ["section", "metric", "A", "B", "delta", "rel"]

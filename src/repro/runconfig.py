@@ -1,12 +1,12 @@
 """One frozen configuration object for every execution surface.
 
 Every pipeline in :mod:`repro.distributed` and the :class:`repro.api.Session`
-facade share the same execution knobs — seed, inbox order, engine, fault
-plan, retry policy, bit budget, tracing, automaton cache, class codec.
+facade share the same execution knobs — seed, inbox order, fault plan,
+retry policy, bit budget, tracing, automaton cache, class codec.
 :class:`RunConfig` is the single place those knobs are named and
 validated; the legacy keyword surfaces all funnel through
-:meth:`RunConfig.from_kwargs`, so an invalid ``engine=`` or
-``inbox_order=`` fails identically (and typed) everywhere.
+:meth:`RunConfig.from_kwargs`, so an invalid ``inbox_order=``
+fails identically (and typed) everywhere.
 
 ``to_json`` / ``from_json`` are the replay contract:
 ``Result.replay_args`` and fuzz-corpus replay files store exactly this
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-from .congest.runtime import ENGINES, INBOX_ORDERS
-from .errors import ReproError, UnknownEngineError
+from .congest.runtime import INBOX_ORDERS
+from .errors import ReproError
 
 __all__ = ["RunConfig", "resolve_tracer"]
 
@@ -42,7 +42,7 @@ def resolve_tracer(trace: Any) -> Optional[Any]:
     return current_tracer()
 
 #: The replayable subset of fields, in their canonical JSON order.
-REPLAY_FIELDS = ("seed", "inbox_order", "faults", "retry", "budget", "engine")
+REPLAY_FIELDS = ("seed", "inbox_order", "faults", "retry", "budget")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,6 @@ class RunConfig:
 
     * ``seed`` / ``inbox_order`` — the simulator's adversarial delivery
       knobs (see :class:`repro.congest.Simulation`);
-    * ``engine`` — ``"naive"`` or ``"batched"`` (the default):
-      byte-identical round schedulers (see ``docs/engines.md``);
     * ``faults`` / ``retry`` — a :class:`repro.faults.FaultPlan`
       adversary and :class:`repro.faults.RetryPolicy` reliability layer;
     * ``budget`` — per-edge per-round bit budget override;
@@ -68,7 +66,6 @@ class RunConfig:
 
     seed: Optional[int] = None
     inbox_order: str = "arrival"
-    engine: str = "batched"
     faults: Optional[Any] = None
     retry: Optional[Any] = None
     budget: Optional[int] = None
@@ -77,8 +74,6 @@ class RunConfig:
     codec: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise UnknownEngineError(self.engine, ENGINES)
         if self.inbox_order not in INBOX_ORDERS:
             raise ReproError(
                 f"unknown inbox order {self.inbox_order!r}; "
@@ -99,8 +94,8 @@ class RunConfig:
         then all be ``None`` — mixing both surfaces would make it
         ambiguous which value wins.  Without ``config``, keywords with
         value ``None`` fall back to the dataclass defaults, so
-        ``from_kwargs(engine=None)`` means "the default engine", exactly
-        like omitting the keyword.  Session and every pipeline share
+        ``from_kwargs(inbox_order=None)`` means the default ``"arrival"``,
+        exactly like omitting the keyword.  Session and every pipeline share
         these defaults.
         """
         known = {f.name for f in fields(cls)}

@@ -14,11 +14,9 @@ case from a source case and states how the answers must relate:
   on ``G₁ ⊎ G₂`` is the conjunction of the parts' verdicts (checked
   through the sequential engine: the CONGEST pipeline needs a connected
   network, the algebra does not);
-* **seed independence** — the simulator seed, delivery order and
-  scheduler permute message arrival, never answers: every (seed, inbox
-  order, engine) perturbation of a fault-free run returns the same
-  verdict/value/count.  (Byte identity of the engines is the
-  differential oracle's job.)
+* **seed independence** — the simulator seed and delivery order permute
+  message arrival, never answers: every (seed, inbox order) perturbation
+  of a fault-free run returns the same verdict/value/count.
 
 All relations report :class:`~repro.testkit.oracles.Discrepancy` values,
 so the fuzz runner treats them exactly like differential failures.
@@ -34,7 +32,6 @@ from typing import List, Optional, Sequence
 from ..algebra import check as seq_check
 from ..algebra.cache import AutomatonCache
 from ..api import Session
-from ..congest.runtime import ENGINES
 from ..graph import Graph
 from ..graph.graph import disjoint_union, relabeled
 from ..mso import syntax as sx
@@ -105,7 +102,7 @@ def _swap_formula_labels(formula: sx.Formula) -> sx.Formula:
 
 
 def _answers(case: Case, cache: AutomatonCache):
-    """(verdict, value/count) of a fault-free batched/arrival run."""
+    """(verdict, value/count) of a fault-free arrival-order run."""
     session = Session(case.graph, case.d, seed=case.seed, cache=cache)
     return _outcome_fields(case, _run_cell(case, session))
 
@@ -152,24 +149,23 @@ def seed_independence_relation(
     seeds: Sequence[int] = (1, 2),
     orders: Sequence[str] = ("shuffle", "reversed"),
 ) -> List[Discrepancy]:
-    """Fault-free answers are invariant under (seed, inbox order, engine).
+    """Fault-free answers are invariant under (seed, inbox order).
 
-    The cells alternate between the engines, so a case that carries a
-    fault plan still gets a fault-free run on each scheduler.
+    Every cell runs without the case's fault plan, so a case that carries
+    one still gets fault-free runs.
     """
     expected = _expected_fields(case, ref)
     found: List[Discrepancy] = []
-    cells = itertools.product(seeds, orders)
-    for engine, (extra_seed, order) in zip(itertools.cycle(ENGINES), cells):
+    for extra_seed, order in itertools.product(seeds, orders):
         session = Session(
             case.graph, case.d, seed=case.seed + extra_seed,
-            inbox_order=order, engine=engine, cache=cache,
+            inbox_order=order, cache=cache,
         )
         got = _outcome_fields(case, _run_cell(case, session))
         if got != expected:
             found.append(Discrepancy(
                 case.case_id, "metamorphic-seed",
-                f"seed+{extra_seed}/{order}/{engine} answered {got!r} "
+                f"seed+{extra_seed}/{order} answered {got!r} "
                 f"instead of {expected!r}", note=case.note,
             ))
     return found

@@ -20,6 +20,7 @@ from repro.graph.properties import (
 )
 from repro.mso import formulas, vertex_set
 from repro.obs import Tracer
+from repro.runconfig import REPLAY_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +38,7 @@ def test_decide_matches_naive_pipeline(network):
     automaton, codec = session.cache.automaton_with_codec(
         formulas.triangle_free(), (), d=3, labels=()
     )
-    baseline = decide_pipeline(
-        automaton, network, 3, codec=codec, engine="naive"
-    )
+    baseline = decide_pipeline(automaton, network, 3, codec=codec)
     assert result.verdict == baseline.accepted
     assert result.rounds == baseline.total_rounds
     assert result.phase_rounds["elimination"] + result.phase_rounds["checking"] \
@@ -141,8 +140,9 @@ def test_certify_acyclic_tree():
 # -- session validation -----------------------------------------------------
 
 def test_session_rejects_unknown_engine_and_order(network):
-    with pytest.raises(ReproError):
-        Session(network, d=3, engine="warp")
+    # There is one scheduler, so ``engine`` is not a Session option.
+    with pytest.raises(TypeError, match="engine"):
+        Session(network, d=3, engine="batched")
     with pytest.raises(ReproError):
         Session(network, d=3, inbox_order="chaotic")
 
@@ -153,16 +153,6 @@ def test_session_trace_knob(network):
     mine = Tracer()
     assert Session(network, d=3, trace=mine).tracer is mine
     assert Session(network, d=3).tracer is None
-
-
-def test_engines_agree_through_facade(network):
-    phi = formulas.k_colorable(2)
-    batched = Session(network, d=3, engine="batched").decide(phi)
-    naive = Session(network, d=3, engine="naive").decide(phi)
-    assert batched.verdict == naive.verdict
-    assert batched.rounds == naive.rounds
-    assert batched.messages == naive.messages
-    assert batched.max_payload_bits == naive.max_payload_bits
 
 
 # -- replay regression (satellite) ------------------------------------------
@@ -188,9 +178,7 @@ def test_replay_args_reproduce_faulty_run_and_fault_trace(network):
     assert replay_session.tracer.fault_counts == session.tracer.fault_counts
 
 
-def test_replay_args_include_engine(network):
-    result = Session(network, d=3, engine="naive", seed=1).decide(
-        formulas.triangle_free()
-    )
-    assert result.replay_args["engine"] == "naive"
+def test_replay_args_are_the_replay_fields(network):
+    result = Session(network, d=3, seed=1).decide(formulas.triangle_free())
+    assert set(result.replay_args) == set(REPLAY_FIELDS)
     assert result.replay_args["seed"] == 1

@@ -65,7 +65,7 @@ def test_send_to_non_neighbor_rejected():
         ctx.send(99, "x")
         yield
 
-    with pytest.raises(CongestError):
+    with pytest.raises(CongestError, match="0 is not adjacent to 99"):
         run_protocol(gen.path(2), program)
 
 
@@ -75,7 +75,7 @@ def test_double_send_same_round_rejected():
         ctx.send(ctx.neighbors[0], "b")
         yield
 
-    with pytest.raises(CongestError):
+    with pytest.raises(CongestError, match="node 0 already sent to 1"):
         run_protocol(gen.path(2), program)
 
 
@@ -86,6 +86,34 @@ def test_oversized_message_rejected():
 
     with pytest.raises(MessageTooLargeError):
         run_protocol(gen.path(2), program)
+
+
+def test_send_outside_round_rejected():
+    contexts = []
+
+    def program(ctx):
+        contexts.append(ctx)
+        return ctx.node
+        yield
+
+    run_protocol(gen.path(2), program)
+    with pytest.raises(CongestError, match="send outside of a round"):
+        contexts[0].send(1, "late")
+
+
+def test_inboxes_are_reused_buffers():
+    # The rule every node program follows: the inbox dict is refilled in
+    # place next round, so a program copies what it needs before yielding.
+    def program(ctx):
+        ctx.send_all(("round", 1))
+        inbox = yield
+        kept, copied = inbox, dict(inbox)
+        ctx.send_all(("round", 2))
+        yield
+        return kept == copied
+
+    result = run_protocol(gen.path(2), program)
+    assert result.outputs == {0: False, 1: False}
 
 
 def test_nonterminating_protocol_detected():

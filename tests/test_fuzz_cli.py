@@ -125,6 +125,6 @@ def test_session_from_replay_rejects_unknown_keys():
     from repro.errors import ReproError
 
     with pytest.raises(ReproError, match="unknown replay"):
-        Session.from_replay(gen.path(2), 1, {"engines": "batched"})
+        Session.from_replay(gen.path(2), 1, {"inbox_orders": "sorted"})
     with pytest.raises(ReproError, match="retry"):
         Session.from_replay(gen.path(2), 1, {"retry": {"copies": 3}})
