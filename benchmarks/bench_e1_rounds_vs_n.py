@@ -11,6 +11,7 @@ from repro.distributed import decide_pipeline
 from repro.graph import generators as gen
 from repro.mso import formulas
 from repro.obs import Tracer
+from repro.runconfig import RunConfig
 
 from reporting import record_phase_table, record_table
 
@@ -55,7 +56,7 @@ def test_e1_rounds_vs_n(benchmark):
     automaton = compile_formula(formulas.h_free(gen.triangle()), ())
     g = gen.random_bounded_treedepth(64, depth=3, seed=64)
     tracer = Tracer(events=False)
-    decide_pipeline(automaton, g, d=3, tracer=tracer)
+    decide_pipeline(automaton, g, d=3, config=RunConfig(trace=tracer))
     record_phase_table(
         "E1", "per-phase rounds/bits (triangle-free, n=64, d=3)", tracer
     )

@@ -13,6 +13,7 @@ from repro.distributed import decide_pipeline, optimize_pipeline
 from repro.graph import generators as gen
 from repro.mso import formulas, vertex_set
 from repro.obs import Tracer
+from repro.runconfig import RunConfig
 
 from reporting import record_phase_table, record_table
 
@@ -49,7 +50,7 @@ def test_e3_message_sizes(benchmark):
     automaton = compile_formula(formulas.independent_set(s), (s,))
     g = gen.random_bounded_treedepth(64, depth=3, seed=99)
     tracer = Tracer(events=False)
-    optimize_pipeline(automaton, g, d=3, tracer=tracer)
+    optimize_pipeline(automaton, g, d=3, config=RunConfig(trace=tracer))
     record_phase_table(
         "E3", "per-phase messages/bits (independent-set, n=64, d=3)", tracer
     )

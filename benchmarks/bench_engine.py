@@ -50,6 +50,7 @@ from repro.congest.parallel import run_sweep
 from repro.distributed import count_pipeline, decide_pipeline
 from repro.graph import generators as gen
 from repro.mso import formulas
+from repro.runconfig import RunConfig
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,7 +86,7 @@ def decide_warm_worker(params):
         _decide_formula(), (), d=params["d"], labels=()
     )
     out = decide_pipeline(automaton, _graph(params), params["d"],
-                          codec=codec)
+                          config=RunConfig(codec=codec))
     return {"verdict": out.accepted, "rounds": out.total_rounds}
 
 
@@ -102,7 +103,7 @@ def count_warm_worker(params):
         formula, variables, d=params["d"], labels=()
     )
     out = count_pipeline(automaton, _graph(params), params["d"],
-                         codec=codec)
+                         config=RunConfig(codec=codec))
     return {"verdict": out.count, "rounds": out.total_rounds}
 
 

@@ -16,18 +16,11 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import enumerate_symbol_choices
-from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
-from ..errors import FaultToleranceExceeded, ProtocolError
+from ..congest import Inbox, ItemCollector, NodeContext, node_program
+from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
-from ..obs import Tracer, maybe_phase
 from ..runconfig import RunConfig
-from .elimination import build_elimination_tree
-from .model_checking import (
-    ClassCodec,
-    local_base_symbol,
-    node_inputs_from_elimination,
-    resolve_tracer,
-)
+from .model_checking import ClassCodec, local_base_symbol, run_checking
 
 _CHUNK_BITS = 8
 
@@ -140,101 +133,33 @@ def count_pipeline(
     automaton: TreeAutomaton,
     graph: Graph,
     d: int,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: Optional[str] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    retry=None,
-    codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedCount:
     """Run Algorithm 2 followed by the counting convergecast.
 
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
-    the same semantics as in :func:`.model_checking.decide_pipeline`; any
-    crash raises :class:`~repro.errors.FaultToleranceExceeded` — a count
-    over a partial network is not the count.  All knobs may instead come
-    as one ``config=`` :class:`~repro.runconfig.RunConfig`.
+    ``config`` carries the run knobs, as for
+    :func:`.model_checking.run_checking`; any crash raises
+    :class:`~repro.errors.FaultToleranceExceeded` — a count over a partial
+    network is not the count.
     """
     if not automaton.scope:
         raise ProtocolError("counting needs at least one free variable")
-    cfg = RunConfig.from_kwargs(
-        config,
-        budget=budget,
-        trace=tracer,
-        inbox_order=inbox_order,
-        seed=seed,
-        faults=faults,
-        retry=retry,
-        codec=codec,
+    run = run_checking(
+        automaton, graph, d,
+        lambda codec: counting_program(automaton, codec),
+        phase="counting",
+        max_rounds=500_000,
+        config=config,
     )
-    tracer = resolve_tracer(cfg.trace)
-    elim = build_elimination_tree(
-        graph, d, budget=cfg.budget, tracer=tracer,
-        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry,
-    )
-    if elim.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, elim.crashed))} crashed during "
-            "elimination; a count needs the whole network",
-            round=elim.rounds,
-        )
-    if not elim.accepted:
-        return DistributedCount(
-            count=None,
-            treedepth_exceeded=True,
-            total_rounds=elim.rounds,
-            elimination_rounds=elim.rounds,
-            counting_rounds=0,
-            max_message_bits=elim.max_message_bits,
-            num_classes=0,
-            total_messages=elim.total_messages,
-        )
-    inputs = node_inputs_from_elimination(graph, elim)
-    codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
-    program = counting_program(automaton, codec)
-    run_budget = cfg.budget
-    max_rounds = 500_000
-    if cfg.retry is not None:
-        from ..congest import default_budget
-        from ..faults import reliable_program
-
-        program = reliable_program(program, cfg.retry)
-        if run_budget is None:
-            run_budget = default_budget(graph.num_vertices())
-        run_budget = cfg.retry.physical_budget(run_budget)
-        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, "counting"):
-        result = run_protocol(
-            graph,
-            program,
-            inputs=inputs,
-            budget=run_budget,
-            max_rounds=max_rounds,
-            tracer=tracer,
-            inbox_order=cfg.inbox_order,
-            seed=cfg.seed,
-            faults=cfg.faults,
-        )
-    if result.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, result.crashed))} crashed during the "
-            "counting convergecast; the count cannot be trusted",
-            round=result.rounds,
-        )
-    counts = [c for c in result.outputs.values() if c is not None]
-    if len(counts) != 1:
-        raise ProtocolError("exactly one node (the root) should hold the count")
+    count = None
+    if run.checking is not None:
+        counts = [c for c in run.checking.outputs.values() if c is not None]
+        if len(counts) != 1:
+            raise ProtocolError("exactly one node (the root) should hold the count")
+        count = counts[0]
     return DistributedCount(
-        count=counts[0],
-        treedepth_exceeded=False,
-        total_rounds=elim.rounds + result.rounds,
-        elimination_rounds=elim.rounds,
-        counting_rounds=result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
-        num_classes=codec.num_classes,
-        total_messages=elim.total_messages + result.metrics.total_messages,
+        count=count,
+        treedepth_exceeded=run.treedepth_exceeded,
+        counting_rounds=run.checking_rounds,
+        **run.totals(),
     )
-

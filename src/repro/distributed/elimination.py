@@ -37,7 +37,7 @@ from ..congest import (
 )
 from ..errors import DecompositionError, FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex
-from ..obs import Tracer, current_tracer, maybe_phase
+from ..obs import maybe_phase
 from ..treedepth import EliminationForest
 
 
@@ -212,12 +212,6 @@ def _elimination_max_rounds(graph: Graph, d: int) -> int:
 def build_elimination_tree(
     graph: Graph,
     d: int,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: Optional[str] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    retry=None,
     config=None,
 ) -> DistributedEliminationResult:
     """Run Algorithm 2 on ``graph`` with treedepth bound ``d``.
@@ -225,35 +219,24 @@ def build_elimination_tree(
     Returns the assembled elimination tree (validated against the graph)
     when every node accepted, or ``accepted=False`` when some node reported
     td(G) > d.  Rounds and traffic land under the ``elimination`` phase of
-    ``tracer`` (explicit or process-installed) when tracing is on.
-    ``inbox_order`` / ``seed`` select an adversarial message delivery order
-    (see :class:`~repro.congest.runtime.Simulation`).
+    the config's tracer (or the process-installed one) when tracing is on.
 
-    ``faults`` accepts a :class:`repro.faults.FaultPlan`; ``retry`` a
-    :class:`repro.faults.RetryPolicy`, wrapping the protocol in the
+    ``config`` is a :class:`~repro.runconfig.RunConfig`: ``inbox_order`` /
+    ``seed`` select an adversarial message delivery order (see
+    :class:`~repro.congest.runtime.Simulation`), ``faults`` a
+    :class:`repro.faults.FaultPlan`, and ``retry`` a
+    :class:`repro.faults.RetryPolicy` wrapping the protocol in the
     redundancy-lockstep synchronizer (budget and round caps are scaled
     automatically).  Under faults the result is never silently wrong: the
     protocol either yields a decomposition that *validates* against the
     surviving induced subgraph, or raises
     :class:`~repro.errors.FaultToleranceExceeded`.
-
-    All execution knobs may instead arrive as one ``config=``
-    :class:`~repro.runconfig.RunConfig` (mutually exclusive with the
-    individual keywords).
     """
     from ..runconfig import RunConfig, resolve_tracer
 
     if not graph.is_connected():
         raise ProtocolError("CONGEST requires a connected network")
-    cfg = RunConfig.from_kwargs(
-        config,
-        budget=budget,
-        trace=tracer,
-        inbox_order=inbox_order,
-        seed=seed,
-        faults=faults,
-        retry=retry,
-    )
+    cfg = RunConfig.of(config)
     tracer = resolve_tracer(cfg.trace)
     inputs = {v: {"d": d} for v in graph.vertices()}
     program = elimination_tree_program

@@ -28,6 +28,7 @@ from ..errors import ProtocolError
 from ..expansion import LowTreedepthDecomposition, union_graph
 from ..graph import Graph
 from ..mso import formulas
+from ..runconfig import RunConfig
 from .model_checking import decide_pipeline
 
 
@@ -73,6 +74,7 @@ def decide_h_freeness(
     )
     formula = formulas.contains_subgraph(pattern)
     automaton = compile_formula(formula, ())
+    config = RunConfig(budget=budget)
 
     # Treedepth budget for the per-union runs: the elimination-tree
     # protocol needs d with 2^d >= depth; td(G_I) <= bound, so d = bound
@@ -98,7 +100,7 @@ def decide_h_freeness(
             outcome = None
             attempt_rounds = 0
             for d in range(1, bound + 1):
-                outcome = decide_pipeline(automaton, piece, d=d, budget=budget)
+                outcome = decide_pipeline(automaton, piece, d=d, config=config)
                 attempt_rounds += outcome.total_rounds
                 if not outcome.treedepth_exceeded:
                     break

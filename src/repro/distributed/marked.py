@@ -18,19 +18,23 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Generator, Optional, Tuple
 
 from ..algebra import TreeAutomaton
-from ..algebra.symbols import enumerate_symbol_choices
-from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
+from ..congest import Inbox, ItemCollector, NodeContext, node_program
 from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
-from ..mso import syntax as sx
-from .elimination import build_elimination_tree
-from .model_checking import ClassCodec, local_base_symbol, node_inputs_from_elimination
+from ..runconfig import RunConfig
+from .model_checking import ClassCodec, local_base_symbol, run_checking
+from .optimization import better, leaf_opt_table
 
 
 def optmarked_program(
     automaton: TreeAutomaton, codec: ClassCodec, maximize: bool
 ):
-    """Node program: joint OPT-table / marked-class / marked-weight wave."""
+    """Node program: joint OPT-table / marked-class / marked-weight wave.
+
+    The OPT table goes through the same memoized
+    :meth:`~TreeAutomaton.merge_opt` / :meth:`~TreeAutomaton.fold_forget_opt`
+    joins as the optimization protocol, fed in table order.
+    """
     sign = 1 if maximize else -1
 
     @node_program
@@ -47,24 +51,9 @@ def optmarked_program(
         ]
         edge_weights: Dict[int, int] = dict(ctx.input.get("edge_weights", {}))
 
-        def better(candidate: int, incumbent: Optional[int]) -> bool:
-            return incumbent is None or sign * candidate > sign * incumbent
-
         # (1) OPT table over all local choices.
-        table: Dict[Any, int] = {}
-        for choice in enumerate_symbol_choices(
-            base_marked.structure, automaton.scope, ctx.node, owned_edges
-        ):
-            state = automaton.leaf(choice.symbol)
-            w = 0
-            for item in choice.chosen[0]:
-                if isinstance(item, tuple):
-                    pos = next(p for p, e in owned_edges if e == item)
-                    w += edge_weights.get(pos, 1)
-                else:
-                    w += ctx.input.get("weight", 1)
-            if better(w, table.get(state)):
-                table[state] = w
+        leaf_table, _ = leaf_opt_table(ctx, automaton, base_marked, owned_edges, sign)
+        table = tuple(leaf_table.items())
         # (2) class of the marked assignment; (3) local marked weight.
         marked_state = automaton.leaf(base_marked)
         marked_weight = 0
@@ -87,21 +76,17 @@ def optmarked_program(
             child_table = {
                 codec.decode(class_id): weight for class_id, weight in items[1:]
             }
-            merged: Dict[Any, int] = {}
-            for s1, w1 in table.items():
-                for s2, w2 in child_table.items():
-                    s = automaton.glue(depth, s1, s2)
-                    if better(w1 + w2, merged.get(s)):
-                        merged[s] = w1 + w2
-            table = merged
+            table, _ = automaton.merge_opt(
+                depth, table, tuple(child_table.items()), sign
+            )
         marked_state = automaton.forget(depth, marked_state)
-        table = _forget_table(automaton, depth, table, better)
+        forgotten = dict(automaton.fold_forget_opt(depth, table, sign)[0])
 
         if parent is not None:
             ctx.send(parent, ("mk", (codec.encode(marked_state), marked_weight)))
             yield
-            for s in sorted(table, key=codec.encode):
-                ctx.send(parent, ("mk", (codec.encode(s), table[s])))
+            for s in sorted(forgotten, key=codec.encode):
+                ctx.send(parent, ("mk", (codec.encode(s), forgotten[s])))
                 yield
             ctx.send(parent, ("mk/end", None))
             # Wait for the verdict flood.
@@ -116,8 +101,8 @@ def optmarked_program(
                         return verdict
         # Root: combine the three ingredients.
         optimum: Optional[int] = None
-        for s, w in table.items():
-            if automaton.accepts(s) and better(w, optimum):
+        for s, w in forgotten.items():
+            if automaton.accepts(s) and better(sign, w, optimum):
                 optimum = w
         verdict = (
             automaton.accepts(marked_state)
@@ -130,15 +115,6 @@ def optmarked_program(
         return verdict
 
     return program
-
-
-def _forget_table(automaton, depth, table, better):
-    out: Dict[Any, int] = {}
-    for s, w in table.items():
-        fs = automaton.forget(depth, s)
-        if better(w, out.get(fs)):
-            out[fs] = w
-    return out
 
 
 @dataclass
@@ -157,37 +133,33 @@ def optmarked_distributed(
     d: int,
     marked: FrozenSet[Any],
     maximize: bool = True,
-    budget: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> DistributedOptMarked:
-    """Is ``marked`` an optimum solution of φ(S)?  (automaton scope = (S,))"""
+    """Is ``marked`` an optimum solution of φ(S)?  (automaton scope = (S,))
+
+    ``config`` carries the run knobs, as for
+    :func:`.model_checking.run_checking`.
+    """
     if len(automaton.scope) != 1 or not automaton.scope[0].sort.is_set:
         raise ProtocolError("optmarked needs scope = one free set variable")
-    elim = build_elimination_tree(graph, d, budget=budget)
-    if not elim.accepted:
-        return DistributedOptMarked(
-            accepted=False,
-            treedepth_exceeded=True,
-            total_rounds=elim.rounds,
-            max_message_bits=elim.max_message_bits,
-        )
-    var = automaton.scope[0]
-    inputs = node_inputs_from_elimination(
-        graph, elim, assignment={var: frozenset(marked)}, scope=(var,)
-    )
-    codec = ClassCodec(automaton)
-    result = run_protocol(
-        graph,
-        optmarked_program(automaton, codec, maximize),
-        inputs=inputs,
-        budget=budget,
+    run = run_checking(
+        automaton, graph, d,
+        lambda codec: optmarked_program(automaton, codec, maximize),
+        phase="optmarked",
         max_rounds=500_000,
+        assignment={automaton.scope[0]: frozenset(marked)},
+        config=config,
     )
-    verdicts = set(result.outputs.values())
-    if len(verdicts) != 1:
-        raise ProtocolError(f"verdicts disagree: {result.outputs}")
+    accepted = False
+    if run.checking is not None:
+        verdicts = set(run.checking.outputs.values())
+        if len(verdicts) != 1:
+            raise ProtocolError(f"verdicts disagree: {run.checking.outputs}")
+        accepted = bool(verdicts.pop())
+    totals = run.totals()
     return DistributedOptMarked(
-        accepted=bool(verdicts.pop()),
-        treedepth_exceeded=False,
-        total_rounds=elim.rounds + result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
+        accepted=accepted,
+        treedepth_exceeded=run.treedepth_exceeded,
+        total_rounds=totals["total_rounds"],
+        max_message_bits=totals["max_message_bits"],
     )

@@ -24,15 +24,23 @@ distributed analogue of hard-coding 𝒞 and ⊙_f into every node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import BaseStructure, BaseSymbol
-from ..congest import Inbox, NodeContext, default_budget, node_program, run_protocol
-from ..errors import FaultToleranceExceeded, ProtocolError
+from ..congest import (
+    Inbox,
+    NodeContext,
+    NodeProgram,
+    SimulationResult,
+    default_budget,
+    node_program,
+    run_protocol,
+)
+from ..errors import FaultToleranceExceeded, ProtocolError, ReproError
 from ..graph import Graph, Vertex, canonical_edge
 from ..mso import syntax as sx
-from ..obs import Tracer, maybe_phase
+from ..obs import maybe_phase
 from ..runconfig import RunConfig, resolve_tracer
 from .elimination import DistributedEliminationResult, build_elimination_tree
 
@@ -168,9 +176,16 @@ def node_inputs_from_elimination(
     assignment: Optional[Dict[sx.Var, Any]] = None,
     scope: Tuple[sx.Var, ...] = (),
 ) -> Dict[Vertex, Dict[str, Any]]:
-    """Package each node's local knowledge for the checking protocols."""
+    """Package each node's local knowledge for the checking protocols.
+
+    ``assignment`` fixes scope variables: a set-sorted variable takes a
+    ``set`` or ``frozenset`` of vertices (edges for edge sets), an
+    element-sorted one a single vertex (edge).  Edges are ``(u, v)``
+    pairs in either order.  Any other value for a set variable raises
+    :class:`~repro.errors.ReproError`.
+    """
     inputs: Dict[Vertex, Dict[str, Any]] = {}
-    assignment = assignment or {}
+    members = _assignment_members(assignment or {}, scope)
     for v, out in elim.outputs.items():
         edge_labels = {}
         weights_edges = {}
@@ -181,15 +196,14 @@ def node_inputs_from_elimination(
         vbits = frozenset(
             i
             for i, var in enumerate(scope)
-            if var.sort.is_vertex_kind and v in _as_set(assignment.get(var, frozenset()))
+            if var.sort.is_vertex_kind and v in members[i]
         )
         ebits = {
             pos: frozenset(
                 i
                 for i, var in enumerate(scope)
                 if not var.sort.is_vertex_kind
-                and canonical_edge(out.bag[pos - 1], v)
-                in _as_set(assignment.get(var, frozenset()))
+                and canonical_edge(out.bag[pos - 1], v) in members[i]
             )
             for pos in out.anc_edge_positions
         }
@@ -209,101 +223,120 @@ def node_inputs_from_elimination(
     return inputs
 
 
-def _as_set(value: Any):
-    if isinstance(value, frozenset):
-        return value
-    return frozenset({value})
+def _assignment_members(
+    assignment: Dict[sx.Var, Any], scope: Tuple[sx.Var, ...]
+) -> List[FrozenSet[Any]]:
+    """The items each scope variable is assigned, in scope order; edges
+    in canonical orientation."""
+    members: List[FrozenSet[Any]] = []
+    for var in scope:
+        value = assignment.get(var, frozenset())
+        if isinstance(value, (set, frozenset)):
+            items = frozenset(value)
+        elif var.sort.is_set:
+            raise ReproError(
+                f"set variable {var.name} must be assigned a set or "
+                f"frozenset, not {type(value).__name__}"
+            )
+        else:
+            items = frozenset({value})
+        if not var.sort.is_vertex_kind:
+            items = frozenset(canonical_edge(*edge) for edge in items)
+        members.append(items)
+    return members
 
 
-def decide_pipeline(
-    formula_automaton: TreeAutomaton,
+@dataclass
+class CheckingRun:
+    """One pass of the checking pipeline: Algorithm 2, then a convergecast.
+
+    ``checking`` is ``None`` when Algorithm 2 reported td(G) > d, in which
+    case no checking protocol ran.
+    """
+
+    elimination: DistributedEliminationResult
+    checking: Optional[SimulationResult]
+    codec: ClassCodec
+
+    @property
+    def treedepth_exceeded(self) -> bool:
+        return self.checking is None
+
+    @property
+    def checking_rounds(self) -> int:
+        return 0 if self.checking is None else self.checking.rounds
+
+    def totals(self) -> Dict[str, int]:
+        """The figures every pipeline result reports, summed over phases."""
+        elim, sim = self.elimination, self.checking
+        return {
+            "total_rounds": elim.rounds + self.checking_rounds,
+            "elimination_rounds": elim.rounds,
+            "max_message_bits": max(
+                elim.max_message_bits, sim.metrics.max_message_bits if sim else 0
+            ),
+            "num_classes": self.codec.num_classes if sim else 0,
+            "total_messages": elim.total_messages
+            + (sim.metrics.total_messages if sim else 0),
+        }
+
+
+def run_checking(
+    automaton: TreeAutomaton,
     graph: Graph,
     d: int,
+    make_program: Callable[[ClassCodec], NodeProgram],
+    *,
+    phase: str,
+    max_rounds: int,
     assignment: Optional[Dict[sx.Var, Any]] = None,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: Optional[str] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    retry=None,
-    codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
-) -> DistributedDecision:
-    """Run the full pipeline: Algorithm 2, then the decision convergecast.
+) -> CheckingRun:
+    """The one checking pipeline: Algorithm 2, then one convergecast.
 
-    ``formula_automaton`` must be compiled for the scope matching
-    ``assignment`` (empty scope for closed formulas).  When a tracer is
-    given (or installed), the run is attributed to the ``elimination`` and
-    ``decision`` harness phases with the protocols' finer spans nested
-    inside.  ``inbox_order`` / ``seed`` select an adversarial delivery
-    order for both phases (see :class:`~repro.congest.runtime.Simulation`).
+    Builds the elimination tree, and unless Algorithm 2 reports
+    td(G) > d, runs ``make_program(codec)`` over it under the harness
+    phase ``phase``.  Every node must stay alive end to end: a crash in
+    either protocol raises :class:`~repro.errors.FaultToleranceExceeded`,
+    since an answer computed on a partial network says nothing about the
+    whole one.
 
-    ``faults`` (a :class:`repro.faults.FaultPlan`) subjects *both* phases
-    to the same adversary; ``retry`` (a :class:`repro.faults.RetryPolicy`)
-    wraps both protocols in the redundancy-lockstep synchronizer.  The
-    decision requires every node alive end to end: any crash raises
-    :class:`~repro.errors.FaultToleranceExceeded` — a verdict must never
-    be computed on a partial network, and with bounded transient loss plus
-    ``retry`` the returned verdict equals the faultless one or the run
-    fails closed.
-
-    All execution knobs may instead be supplied as one validated
-    ``config=`` :class:`~repro.runconfig.RunConfig` (mutually exclusive
-    with the individual keywords).
+    ``config`` carries the run knobs.  ``faults`` subjects both protocols
+    to the same adversary; ``retry`` wraps both in the redundancy-lockstep
+    synchronizer, scaling the budget and ``max_rounds``; ``codec`` shares
+    class ids across runs; ``budget`` defaults to
+    :func:`~repro.congest.default_budget`.
     """
-    cfg = RunConfig.from_kwargs(
-        config,
-        budget=budget,
-        trace=tracer,
-        inbox_order=inbox_order,
-        seed=seed,
-        faults=faults,
-        retry=retry,
-        codec=codec,
-    )
+    cfg = RunConfig.of(config)
     tracer = resolve_tracer(cfg.trace)
-    elim = build_elimination_tree(
-        graph, d, budget=cfg.budget, tracer=tracer,
-        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry,
-    )
+    cfg = cfg.with_overrides(trace=tracer)
+    elim = build_elimination_tree(graph, d, config=cfg)
     if elim.crashed:
         raise FaultToleranceExceeded(
             f"nodes {sorted(map(repr, elim.crashed))} crashed during "
-            "elimination; a model-checking verdict needs the whole network",
+            f"elimination; the {phase} needs the whole network",
             round=elim.rounds,
         )
+    codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
     if not elim.accepted:
-        return DistributedDecision(
-            accepted=False,
-            treedepth_exceeded=True,
-            total_rounds=elim.rounds,
-            elimination_rounds=elim.rounds,
-            checking_rounds=0,
-            max_message_bits=elim.max_message_bits,
-            num_classes=0,
-            total_messages=elim.total_messages,
-        )
-    scope = formula_automaton.scope
-    inputs = node_inputs_from_elimination(graph, elim, assignment, scope)
-    codec = cfg.codec if cfg.codec is not None else ClassCodec(formula_automaton)
-    program = decision_program(formula_automaton, codec)
-    run_budget = cfg.budget if cfg.budget is not None else default_budget(
+        return CheckingRun(elim, None, codec)
+    inputs = node_inputs_from_elimination(graph, elim, assignment, automaton.scope)
+    program = make_program(codec)
+    budget = cfg.budget if cfg.budget is not None else default_budget(
         graph.num_vertices()
     )
-    max_rounds = 20 + 6 * (2 ** d) + 2 * graph.num_vertices()
     if cfg.retry is not None:
         from ..faults import reliable_program
 
         program = reliable_program(program, cfg.retry)
-        run_budget = cfg.retry.physical_budget(run_budget)
+        budget = cfg.retry.physical_budget(budget)
         max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, "decision"):
+    with maybe_phase(tracer, phase):
         result = run_protocol(
             graph,
             program,
             inputs=inputs,
-            budget=run_budget,
+            budget=budget,
             max_rounds=max_rounds,
             tracer=tracer,
             inbox_order=cfg.inbox_order,
@@ -313,20 +346,46 @@ def decide_pipeline(
     if result.crashed:
         raise FaultToleranceExceeded(
             f"nodes {sorted(map(repr, result.crashed))} crashed during the "
-            "decision convergecast; the verdict cannot be trusted",
+            f"{phase} convergecast; its outcome cannot be trusted",
             round=result.rounds,
         )
-    outputs = result.outputs
-    if len(set(outputs.values())) != 1:
-        raise ProtocolError(f"verdicts disagree: {outputs}")
-    accepted = next(iter(outputs.values()))
+    return CheckingRun(elim, result, codec)
+
+
+def decide_pipeline(
+    formula_automaton: TreeAutomaton,
+    graph: Graph,
+    d: int,
+    assignment: Optional[Dict[sx.Var, Any]] = None,
+    config: Optional[RunConfig] = None,
+) -> DistributedDecision:
+    """Run the full pipeline: Algorithm 2, then the decision convergecast.
+
+    ``formula_automaton`` must be compiled for the scope matching
+    ``assignment`` (empty scope for closed formulas).  When a tracer is
+    given (or installed), the run is attributed to the ``elimination`` and
+    ``decision`` harness phases with the protocols' finer spans nested
+    inside.  ``config`` carries the run knobs (see :func:`run_checking`):
+    with bounded transient loss plus ``retry`` the returned verdict equals
+    the faultless one or the run fails closed.
+    """
+    run = run_checking(
+        formula_automaton, graph, d,
+        lambda codec: decision_program(formula_automaton, codec),
+        phase="decision",
+        max_rounds=20 + 6 * (2 ** d) + 2 * graph.num_vertices(),
+        assignment=assignment,
+        config=config,
+    )
+    accepted = False
+    if run.checking is not None:
+        outputs = run.checking.outputs
+        if len(set(outputs.values())) != 1:
+            raise ProtocolError(f"verdicts disagree: {outputs}")
+        accepted = bool(next(iter(outputs.values())))
     return DistributedDecision(
-        accepted=bool(accepted),
-        treedepth_exceeded=False,
-        total_rounds=elim.rounds + result.rounds,
-        elimination_rounds=elim.rounds,
-        checking_rounds=result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
-        num_classes=codec.num_classes,
-        total_messages=elim.total_messages + result.metrics.total_messages,
+        accepted=accepted,
+        treedepth_exceeded=run.treedepth_exceeded,
+        checking_rounds=run.checking_rounds,
+        **run.totals(),
     )

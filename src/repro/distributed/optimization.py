@@ -22,19 +22,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
-from ..algebra.symbols import SymbolChoice, enumerate_symbol_choices
-from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
-from ..errors import FaultToleranceExceeded, ProtocolError
+from ..algebra.symbols import BaseSymbol, SymbolChoice, enumerate_symbol_choices
+from ..congest import Inbox, ItemCollector, NodeContext, node_program
+from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
-from ..obs import Tracer, maybe_phase
 from ..runconfig import RunConfig
-from .elimination import build_elimination_tree
-from .model_checking import (
-    ClassCodec,
-    local_base_symbol,
-    node_inputs_from_elimination,
-    resolve_tracer,
-)
+from .model_checking import ClassCodec, local_base_symbol, run_checking
 
 
 @dataclass
@@ -45,6 +38,48 @@ class NodeSelection:
     vertex_selected: bool = False
     edge_positions: Tuple[int, ...] = ()
     optimum: Optional[int] = None  # set at the root only
+
+
+def better(sign: int, candidate: int, incumbent: Optional[int]) -> bool:
+    """Is ``candidate`` strictly better than ``incumbent`` (None: no entry)?"""
+    return incumbent is None or sign * candidate > sign * incumbent
+
+
+def leaf_opt_table(
+    ctx: NodeContext,
+    automaton: TreeAutomaton,
+    base: BaseSymbol,
+    owned_edges: List[Tuple[int, Tuple[Vertex, Vertex]]],
+    sign: int,
+) -> Tuple[Dict[int, int], Dict[int, SymbolChoice]]:
+    """A node's leaf OPT table over the choices of its owned items.
+
+    Maps each leaf state to the best weight of a choice reaching it, and
+    to that choice; the first strictly better choice wins.
+    """
+    edge_weights: Dict[int, int] = dict(ctx.input.get("edge_weights", {}))
+
+    def weight_of(chosen: Tuple[Any, ...]) -> int:
+        total = 0
+        for item in chosen:
+            if isinstance(item, tuple):
+                pos = next(p for p, e in owned_edges if e == item)
+                total += edge_weights.get(pos, 1)
+            else:
+                total += ctx.input.get("weight", 1)
+        return total
+
+    table: Dict[int, int] = {}
+    leaf_choice: Dict[int, SymbolChoice] = {}
+    for choice in enumerate_symbol_choices(
+        base.structure, automaton.scope, ctx.node, owned_edges
+    ):
+        state = automaton.leaf(choice.symbol)
+        w = weight_of(choice.chosen[0])
+        if better(sign, w, table.get(state)):
+            table[state] = w
+            leaf_choice[state] = choice
+    return table, leaf_choice
 
 
 def optimization_program(
@@ -75,31 +110,7 @@ def optimization_program(
         owned_edges = [
             (pos, canonical_edge(bag[pos - 1], ctx.node)) for pos in positions
         ]
-        edge_weights: Dict[int, int] = dict(ctx.input.get("edge_weights", {}))
-
-        def weight_of(chosen: Tuple[Any, ...]) -> int:
-            total = 0
-            for item in chosen:
-                if isinstance(item, tuple):
-                    pos = next(p for p, e in owned_edges if e == item)
-                    total += edge_weights.get(pos, 1)
-                else:
-                    total += ctx.input.get("weight", 1)
-            return total
-
-        def better(candidate: int, incumbent: Optional[int]) -> bool:
-            return incumbent is None or sign * candidate > sign * incumbent
-
-        table: Dict[int, int] = {}
-        leaf_choice: Dict[int, SymbolChoice] = {}
-        for choice in enumerate_symbol_choices(
-            base.structure, automaton.scope, ctx.node, owned_edges
-        ):
-            state = automaton.leaf(choice.symbol)
-            w = weight_of(choice.chosen[0])
-            if better(w, table.get(state)):
-                table[state] = w
-                leaf_choice[state] = choice
+        table, leaf_choice = leaf_opt_table(ctx, automaton, base, owned_edges, sign)
 
         # -- receive children's tables (streamed) -------------------------
         with ctx.phase("table-streaming"):
@@ -173,7 +184,8 @@ def optimization_program(
                 best: Optional[int] = None
                 for s in sorted(forget_table, key=codec.encode):
                     if automaton.accepts(s) and better(
-                        forget_table[s], None if best is None else forget_table[best]
+                        sign, forget_table[s],
+                        None if best is None else forget_table[best],
                     ):
                         best = s
                 if best is None:
@@ -233,119 +245,48 @@ def optimize_pipeline(
     graph: Graph,
     d: int,
     maximize: bool = True,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: Optional[str] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    retry=None,
-    codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedOptimization:
     """Run Algorithm 2 followed by the optimization protocol.
 
     ``automaton`` must be compiled with scope = (S,), the free set variable.
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
-    the same semantics as in :func:`.model_checking.decide_pipeline`: both
-    phases share the adversary, and any crash raises
-    :class:`~repro.errors.FaultToleranceExceeded` — an optimum computed on
-    a partial network proves nothing about the whole one.  All knobs may
-    instead come as one ``config=`` :class:`~repro.runconfig.RunConfig`.
+    ``config`` carries the run knobs, as for
+    :func:`.model_checking.run_checking`: both phases share the adversary,
+    and any crash raises :class:`~repro.errors.FaultToleranceExceeded` — an
+    optimum computed on a partial network proves nothing about the whole
+    one.
     """
     if len(automaton.scope) != 1 or not automaton.scope[0].sort.is_set:
         raise ProtocolError("optimization needs scope = one free set variable")
-    cfg = RunConfig.from_kwargs(
-        config,
-        budget=budget,
-        trace=tracer,
-        inbox_order=inbox_order,
-        seed=seed,
-        faults=faults,
-        retry=retry,
-        codec=codec,
+    run = run_checking(
+        automaton, graph, d,
+        lambda codec: optimization_program(automaton, codec, maximize),
+        phase="optimization",
+        max_rounds=500_000,  # runaway guard only; progression is data-driven
+        config=config,
     )
-    tracer = resolve_tracer(cfg.trace)
-    elim = build_elimination_tree(
-        graph, d, budget=cfg.budget, tracer=tracer,
-        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry,
-    )
-    if elim.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, elim.crashed))} crashed during "
-            "elimination; an optimum needs the whole network",
-            round=elim.rounds,
-        )
-    if not elim.accepted:
-        return DistributedOptimization(
-            feasible=False,
-            treedepth_exceeded=True,
-            value=None,
-            witness=frozenset(),
-            total_rounds=elim.rounds,
-            elimination_rounds=elim.rounds,
-            optimization_rounds=0,
-            max_message_bits=elim.max_message_bits,
-            num_classes=0,
-            total_messages=elim.total_messages,
-        )
-    inputs = node_inputs_from_elimination(graph, elim)
-    codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
-    program = optimization_program(automaton, codec, maximize)
-    run_budget = cfg.budget
-    max_rounds = 500_000  # runaway guard only; progression is data-driven
-    if cfg.retry is not None:
-        from ..congest import default_budget
-        from ..faults import reliable_program
-
-        program = reliable_program(program, cfg.retry)
-        if run_budget is None:
-            run_budget = default_budget(graph.num_vertices())
-        run_budget = cfg.retry.physical_budget(run_budget)
-        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, "optimization"):
-        result = run_protocol(
-            graph,
-            program,
-            inputs=inputs,
-            budget=run_budget,
-            max_rounds=max_rounds,
-            tracer=tracer,
-            inbox_order=cfg.inbox_order,
-            seed=cfg.seed,
-            faults=cfg.faults,
-        )
-    if result.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, result.crashed))} crashed during the "
-            "optimization convergecast; the optimum cannot be trusted",
-            round=result.rounds,
-        )
-    selections: Dict[Vertex, NodeSelection] = result.outputs
-    feasible = all(sel.feasible for sel in selections.values())
+    feasible = False
     witness: set = set()
     value: Optional[int] = None
+    if run.checking is not None:
+        selections: Dict[Vertex, NodeSelection] = run.checking.outputs
+        feasible = all(sel.feasible for sel in selections.values())
     if feasible:
+        var = automaton.scope[0]
         for v, sel in selections.items():
             if sel.optimum is not None:
                 value = sel.optimum
-            var = automaton.scope[0]
             if var.sort.is_vertex_kind and sel.vertex_selected:
                 witness.add(v)
             if not var.sort.is_vertex_kind:
-                bag = elim.outputs[v].bag
+                bag = run.elimination.outputs[v].bag
                 for pos in sel.edge_positions:
                     witness.add(canonical_edge(bag[pos - 1], v))
     return DistributedOptimization(
         feasible=feasible,
-        treedepth_exceeded=False,
+        treedepth_exceeded=run.treedepth_exceeded,
         value=value,
         witness=frozenset(witness),
-        total_rounds=elim.rounds + result.rounds,
-        elimination_rounds=elim.rounds,
-        optimization_rounds=result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
-        num_classes=codec.num_classes,
-        total_messages=elim.total_messages + result.metrics.total_messages,
+        optimization_rounds=run.checking_rounds,
+        **run.totals(),
     )
-

@@ -4,9 +4,9 @@ Every pipeline in :mod:`repro.distributed` and the :class:`repro.api.Session`
 facade share the same execution knobs — seed, inbox order, fault plan,
 retry policy, bit budget, tracing, automaton cache, class codec.
 :class:`RunConfig` is the single place those knobs are named and
-validated; the legacy keyword surfaces all funnel through
-:meth:`RunConfig.from_kwargs`, so an invalid ``inbox_order=``
-fails identically (and typed) everywhere.
+validated: pipelines take one as ``config=``, and Session's keyword
+surface funnels through :meth:`RunConfig.from_kwargs`, so an invalid
+``inbox_order=`` fails identically (and typed) everywhere.
 
 ``to_json`` / ``from_json`` are the replay contract:
 ``Result.replay_args`` and fuzz-corpus replay files store exactly this
@@ -88,15 +88,15 @@ class RunConfig:
         config: Optional["RunConfig"] = None,
         **kwargs: Any,
     ) -> "RunConfig":
-        """Normalize a legacy kwargs surface into one validated config.
+        """Normalize Session's keyword surface into one validated config.
 
         ``config`` (when given) is taken whole; keyword arguments must
         then all be ``None`` — mixing both surfaces would make it
         ambiguous which value wins.  Without ``config``, keywords with
         value ``None`` fall back to the dataclass defaults, so
         ``from_kwargs(inbox_order=None)`` means the default ``"arrival"``,
-        exactly like omitting the keyword.  Session and every pipeline share
-        these defaults.
+        exactly like omitting the keyword — the defaults a pipeline run
+        without ``config`` uses too.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(kwargs) - known
@@ -111,12 +111,19 @@ class RunConfig:
                     "pass either config= or individual keyword arguments, "
                     f"not both (got config plus {clashes})"
                 )
-            if not isinstance(config, cls):
-                raise ReproError(
-                    f"config must be a RunConfig, not {type(config).__name__}"
-                )
-            return config
+            return cls.of(config)
         return cls(**{k: v for k, v in kwargs.items() if v is not None})
+
+    @classmethod
+    def of(cls, config: Optional["RunConfig"]) -> "RunConfig":
+        """``config`` itself, or the defaults when it is ``None``."""
+        if config is None:
+            return cls()
+        if not isinstance(config, cls):
+            raise ReproError(
+                f"config must be a RunConfig, not {type(config).__name__}"
+            )
+        return config
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         """A copy with ``overrides`` applied (re-validated)."""

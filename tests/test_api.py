@@ -20,7 +20,7 @@ from repro.graph.properties import (
 )
 from repro.mso import formulas, vertex_set
 from repro.obs import Tracer
-from repro.runconfig import REPLAY_FIELDS
+from repro.runconfig import REPLAY_FIELDS, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,8 @@ def test_decide_matches_naive_pipeline(network):
     automaton, codec = session.cache.automaton_with_codec(
         formulas.triangle_free(), (), d=3, labels=()
     )
-    baseline = decide_pipeline(automaton, network, 3, codec=codec)
+    baseline = decide_pipeline(automaton, network, 3,
+                               config=RunConfig(codec=codec))
     assert result.verdict == baseline.accepted
     assert result.rounds == baseline.total_rounds
     assert result.phase_rounds["elimination"] + result.phase_rounds["checking"] \

@@ -12,6 +12,7 @@ from repro.distributed import (
     optimize_pipeline,
     optmarked_distributed,
 )
+from repro.errors import ReproError
 from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph import properties as props
@@ -271,6 +272,21 @@ def test_distributed_optmarked_rejects_suboptimal_and_invalid():
     assert not bad.accepted
 
 
+def test_assignment_of_a_set_variable_is_a_set():
+    # A tuple or list is refused rather than read as one item: read that
+    # way, the adjacent pair (0, 1) would pass as an independent set.
+    s = vertex_set("S")
+    phi = formulas.independent_set(s)
+    automaton = compile_formula(phi, (s,))
+    g = gen.path(5)
+    for marked in ({0, 1}, frozenset({0, 1}), {0, 2}):
+        outcome = decide_pipeline(automaton, g, 3, assignment={s: marked})
+        assert outcome.accepted == evaluate(g, phi, {s: frozenset(marked)})
+    for wrong in ((0, 1), [0, 1], 0):
+        with pytest.raises(ReproError, match="set variable S"):
+            decide_pipeline(automaton, g, 3, assignment={s: wrong})
+
+
 def test_distributed_optmarked_mst():
     g = gen.cycle(4)
     g.set_edge_weight(0, 1, 5)
@@ -282,6 +298,11 @@ def test_distributed_optmarked_mst():
     bad = frozenset({(0, 1), (1, 2), (2, 3)})  # weight 7, not minimum
     outcome2 = optmarked_distributed(automaton, g, d=3, marked=bad, maximize=False)
     assert not outcome2.accepted
+    # Edge orientation does not matter: the same tree, written backwards.
+    reversed_good = frozenset((v, u) for u, v in good)
+    assert optmarked_distributed(
+        automaton, g, d=3, marked=reversed_good, maximize=False
+    ).accepted
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,11 @@ the SimulationResult replay fields.
 """
 
 import io
+import random
 
 import pytest
 
+from repro.algebra import compile_formula
 from repro.congest import (
     NodeContext,
     Simulation,
@@ -20,7 +22,7 @@ from repro.congest import (
     run_protocol,
 )
 from repro.congest.metrics import RoundMetrics
-from repro.distributed import build_elimination_tree
+from repro.distributed import build_elimination_tree, count_pipeline
 from repro.errors import CongestError, FaultToleranceExceeded
 from repro.faults import (
     SYNC_OVERHEAD_BITS,
@@ -30,8 +32,11 @@ from repro.faults import (
     RetryPolicy,
     reliable_program,
 )
+from repro.graph import Graph
 from repro.graph import generators as gen
+from repro.mso import formulas
 from repro.obs import FAULT_EVENT_KINDS, Tracer, read_events, write_jsonl
+from repro.runconfig import RunConfig
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +212,8 @@ CRASH_ROOT = min(CRASH_GRAPH.vertices())  # min id wins leader election
 def test_single_crash_never_silently_wrong(victim, at_round):
     plan = FaultPlan(crashes=(CrashFault(node=victim, at_round=at_round),))
     try:
-        result = build_elimination_tree(CRASH_GRAPH, 3, faults=plan)
+        result = build_elimination_tree(CRASH_GRAPH, 3,
+                                        config=RunConfig(faults=plan))
     except FaultToleranceExceeded:
         return  # failing closed is an allowed outcome
     assert result.crashed == {victim: at_round}
@@ -218,6 +224,32 @@ def test_single_crash_never_silently_wrong(victim, at_round):
         survivors = CRASH_GRAPH.induced_subgraph(set(result.outputs))
         assert result.forest is not None
         result.forest.validate_for(survivors)
+
+
+def _two_branch_graph() -> Graph:
+    """Root 0 over inner nodes 1 and 2; leaves 3..10 hang off them
+    alternately, each also joined to the root with probability 1/2."""
+    g = Graph(range(11))
+    g.add_edge(0, 1)
+    g.add_edge(0, 2)
+    rng = random.Random(3)
+    for leaf in range(3, 11):
+        g.add_edge(leaf, 1 if leaf % 2 else 2)
+        if rng.random() < 0.5:
+            g.add_edge(leaf, 0)
+    return g
+
+
+def test_crash_in_checking_phase_fails_closed():
+    # Elimination takes 86 rounds and counting 118, so round 89 kills
+    # leaf 5 after the tree is built, mid-convergecast.
+    formula, variables = formulas.triangle_assignment()
+    automaton = compile_formula(formula, variables)
+    g = _two_branch_graph()
+    assert count_pipeline(automaton, g, 3).elimination_rounds == 86
+    plan = FaultPlan(crashes=(CrashFault(node=5, at_round=89),))
+    with pytest.raises(FaultToleranceExceeded, match="counting convergecast"):
+        count_pipeline(automaton, g, 3, config=RunConfig(faults=plan))
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,16 @@ and the round scheduler itself.
   inbox order, under drop/duplicate/delay faults and under a
   crash+restart plan record their outputs, the full
   :class:`~repro.congest.metrics.RoundMetrics`, the crashed nodes and the
-  send hash; the three pipelines record their whole result and send hash.
-  These cells were generated by the per-message reference scheduler the
-  simulator used to carry beside the batched one, so they stand in for
-  that second scheduler as the reference.
+  send hash; the pipelines record their whole result and send hash.
+  The toy-program cells and the three plain pipeline cells were generated
+  by the per-message reference scheduler the simulator used to carry
+  beside the batched one, so they stand in for that second scheduler as
+  the reference.  The other ``pipeline-*`` cells pin the shared checking
+  path (elimination, crash checks, retry wrapping, budget, early return
+  on td > d) as it was before the pipelines were merged into one driver:
+  decide/optimize/count under drop+duplicate faults with retry, count
+  under a 64-bit budget, decide on a td-exceeded input, and one accepting
+  and one rejecting optmarked run.
 
 Regenerate (only when a transcript change is intended and explained)::
 
@@ -41,11 +47,17 @@ from repro.algebra.cache import AutomatonCache
 from repro.api import Session
 from repro.congest import INBOX_ORDERS, NodeContext, node_program, run_protocol
 from repro.congest.parallel import shard_seed
-from repro.distributed import count_pipeline, decide_pipeline, optimize_pipeline
-from repro.faults import CrashFault, FaultPlan
+from repro.distributed import (
+    count_pipeline,
+    decide_pipeline,
+    optimize_pipeline,
+    optmarked_distributed,
+)
+from repro.faults import CrashFault, FaultPlan, RetryPolicy
 from repro.graph import generators as gen
 from repro.mso import formulas, vertex_set
 from repro.obs import Tracer, use_tracer
+from repro.runconfig import RunConfig
 from repro.testkit.corpus import iter_corpus
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -95,7 +107,18 @@ FAULT_CELLS = {
     ))),
 }
 
-PIPELINES = ("decide", "optimize", "count")
+PIPELINES = (
+    "decide", "optimize", "count",
+    "decide-retry", "optimize-retry", "count-retry", "count-budget64",
+    "decide-td-exceeded", "optmarked-accept", "optmarked-reject",
+)
+
+#: Marked sets for the optmarked cells: a maximum independent set of the
+#: pipeline graph, and an independent set that is not maximum.
+OPTMARKED = {
+    "accept": frozenset({2, 4, 6, 7, 8, 9, 10, 11}),
+    "reject": frozenset({2, 4}),
+}
 
 
 class _TranscriptTracer(Tracer):
@@ -168,16 +191,16 @@ def _bench_point(name: str) -> Dict[str, Any]:
         automaton, codec = cache.automaton_with_codec(
             formulas.h_free(gen.triangle()), (), d=params["d"], labels=()
         )
-        out = decide_pipeline(automaton, graph, params["d"], codec=codec,
-                              tracer=tracer)
+        out = decide_pipeline(automaton, graph, params["d"],
+                              config=RunConfig(codec=codec, trace=tracer))
         answer = [out.accepted]
     else:
         formula, variables = formulas.triangle_assignment()
         automaton, codec = cache.automaton_with_codec(
             formula, variables, d=params["d"], labels=()
         )
-        out = count_pipeline(automaton, graph, params["d"], codec=codec,
-                             tracer=tracer)
+        out = count_pipeline(automaton, graph, params["d"],
+                             config=RunConfig(codec=codec, trace=tracer))
         answer = [out.count]
     return {
         "answer": answer,
@@ -202,20 +225,39 @@ def _protocol_cell(program: str, **knobs: Any) -> Dict[str, Any]:
 
 
 def _pipeline_cell(name: str) -> Dict[str, Any]:
-    graph = gen.random_bounded_treedepth(12, 3, seed=5)
+    workload, _, variant = name.partition("-")
+    graph, d = gen.random_bounded_treedepth(12, 3, seed=5), 3
+    knobs: Dict[str, Any] = {"seed": 1}
+    if variant == "retry":
+        knobs.update(
+            faults=FaultPlan(seed=3, drop_rate=0.01, duplicate_rate=0.02),
+            retry=RetryPolicy(attempts=4),
+        )
+    elif variant == "budget64":
+        knobs["budget"] = 64
+    elif variant == "td-exceeded":
+        graph, d = gen.path(20), 2
     tracer = _TranscriptTracer()
-    if name == "decide":
+    config = RunConfig(trace=tracer, **knobs)
+    s = vertex_set("S")
+    if workload == "decide":
         out = decide_pipeline(compile_formula(formulas.triangle_free()),
-                              graph, 3, seed=1, tracer=tracer)
-    elif name == "optimize":
-        s = vertex_set("S")
+                              graph, d, config=config)
+    elif workload == "optimize":
         out = optimize_pipeline(compile_formula(formulas.independent_set(s),
                                                 (s,)),
-                                graph, 3, seed=1, tracer=tracer)
+                                graph, d, config=config)
+    elif workload == "optmarked":
+        # No config: the run records through the installed tracer.
+        with use_tracer(tracer):
+            out = optmarked_distributed(
+                compile_formula(formulas.independent_set(s), (s,)),
+                graph, d, marked=OPTMARKED[variant],
+            )
     else:
         formula, variables = formulas.triangle_assignment()
         out = count_pipeline(compile_formula(formula, variables),
-                             graph, 3, seed=1, tracer=tracer)
+                             graph, d, config=config)
     return {
         "result": _canon(out),
         "transcript_sha256": tracer.digest.hexdigest(),

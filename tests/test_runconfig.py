@@ -1,25 +1,38 @@
 """RunConfig: the single validated configuration surface.
 
 Covers the from_kwargs funnel (None-means-default, the
-config-vs-kwargs clash), inbox-order validation, the JSON replay
-round-trip (including refusal of retired options such as ``engine``),
-and the Session/pipeline integration points.
+config-vs-kwargs clash) that Session's keywords go through,
+inbox-order validation, the JSON replay round-trip (including refusal
+of retired options such as ``engine``), and the Session/pipeline
+integration points: pipelines take run knobs only as ``config=``.
 """
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
 from repro.algebra import compile_formula
 from repro.api import Result, RunConfig, Session
-from repro.distributed import count_pipeline, decide_pipeline
+from repro.distributed import (
+    build_elimination_tree,
+    count_pipeline,
+    decide_pipeline,
+    optimize_pipeline,
+    optmarked_distributed,
+)
 from repro.congest import run_protocol
 from repro.errors import ReproError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import generators as gen
 from repro.mso import formulas
 from repro.runconfig import REPLAY_FIELDS
+
+#: The run knobs pipelines used to take one keyword each.
+PER_KNOB_KEYWORDS = (
+    "budget", "tracer", "inbox_order", "seed", "faults", "retry", "codec",
+)
 
 
 def test_defaults():
@@ -135,17 +148,30 @@ def test_session_replay_round_trip():
 
 
 def test_pipelines_accept_config():
+    # Pipelines take run knobs only as one config=; it runs the same
+    # schedule as a Session given the same knobs.
     g = gen.random_bounded_treedepth(12, 3, seed=4)
     automaton = compile_formula(formulas.triangle_free())
     cfg = RunConfig(seed=2, inbox_order="reversed")
     via_config = decide_pipeline(automaton, g, 3, config=cfg)
-    via_kwargs = decide_pipeline(
-        automaton, g, 3, seed=2, inbox_order="reversed"
-    )
-    assert via_config.accepted == via_kwargs.accepted  # pipeline result field
-    assert via_config.total_rounds == via_kwargs.total_rounds
-    with pytest.raises(ReproError, match="not both"):
-        decide_pipeline(automaton, g, 3, seed=2, config=cfg)
+    via_session = Session(g, 3, config=cfg).decide(formulas.triangle_free())
+    assert via_config.accepted == via_session.verdict
+    assert via_config.total_rounds == via_session.rounds
+    assert via_config.total_messages == via_session.messages
+
+
+def test_pipelines_have_no_per_knob_keywords():
+    for entry in (decide_pipeline, optimize_pipeline, count_pipeline,
+                  optmarked_distributed, build_elimination_tree):
+        params = inspect.signature(entry).parameters
+        assert "config" in params, entry.__name__
+        assert not set(params) & set(PER_KNOB_KEYWORDS), entry.__name__
+    automaton = compile_formula(formulas.triangle_free())
+    for knob in PER_KNOB_KEYWORDS:
+        with pytest.raises(TypeError, match=knob):
+            decide_pipeline(automaton, gen.path(4), 2, **{knob: None})
+    with pytest.raises(ReproError, match="must be a RunConfig"):
+        decide_pipeline(automaton, gen.path(4), 2, config={"seed": 1})
 
 
 def test_pipeline_and_session_share_run_defaults():
@@ -153,8 +179,8 @@ def test_pipeline_and_session_share_run_defaults():
     g = gen.random_bounded_treedepth(10, 3, seed=1)
     formula, variables = formulas.triangle_assignment()
     automaton = compile_formula(formula, variables)
-    default_run = count_pipeline(automaton, g, 3, seed=1)
-    config_run = count_pipeline(automaton, g, 3, config=RunConfig(seed=1))
+    default_run = count_pipeline(automaton, g, 3)
+    config_run = count_pipeline(automaton, g, 3, config=RunConfig())
     assert default_run == config_run
     assert Session(g, 3).config == RunConfig()
 
