@@ -45,7 +45,11 @@ import statistics
 import sys
 import time
 
-from repro.algebra import AutomatonCache, compile_formula
+from repro.algebra import (
+    AutomatonCache,
+    compile_formula,
+    compile_with_singletons,
+)
 from repro.congest.parallel import run_sweep
 from repro.distributed import count_pipeline, decide_pipeline
 from repro.graph import generators as gen
@@ -92,7 +96,7 @@ def decide_warm_worker(params):
 
 def count_cold_worker(params):
     formula, variables = _count_formula()
-    automaton = compile_formula(formula, variables)  # cold per point
+    automaton = compile_with_singletons(formula, variables)  # cold per point
     out = count_pipeline(automaton, _graph(params), params["d"])
     return {"verdict": out.count, "rounds": out.total_rounds}
 
@@ -100,7 +104,7 @@ def count_cold_worker(params):
 def count_warm_worker(params):
     formula, variables = _count_formula()
     automaton, codec = _CACHE.automaton_with_codec(
-        formula, variables, d=params["d"], labels=()
+        formula, variables, d=params["d"], labels=(), singletons=True
     )
     out = count_pipeline(automaton, _graph(params), params["d"],
                          config=RunConfig(codec=codec))

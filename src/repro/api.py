@@ -222,11 +222,10 @@ class Session:
             config,
             faults=faults,
             retry=retry,
-            trace=trace or None,
+            trace=Tracer() if trace is True else trace or None,
             seed=seed,
             inbox_order=inbox_order,
             budget=budget,
-            cache=cache,
         )
         self.graph = graph
         self.d = d
@@ -235,17 +234,9 @@ class Session:
         self.seed = self.config.seed
         self.inbox_order = self.config.inbox_order
         self.budget = self.config.budget
-        self.cache = (
-            self.config.cache if self.config.cache is not None
-            else default_cache()
-        )
+        self.tracer: Optional[Tracer] = self.config.trace
+        self.cache = cache if cache is not None else default_cache()
         self.record = record
-        if self.config.trace is True:
-            self.tracer: Optional[Tracer] = Tracer()
-        elif isinstance(self.config.trace, Tracer):
-            self.tracer = self.config.trace
-        else:
-            self.tracer = None
 
     # -- shared plumbing -------------------------------------------------
 
@@ -306,10 +297,8 @@ class Session:
         )
 
     def _run_config(self, codec: Any = None) -> RunConfig:
-        """The pipeline-facing config: session knobs + resolved tracer."""
-        return self.config.with_overrides(
-            trace=self.tracer, codec=codec, cache=None
-        )
+        """The pipeline-facing config: session knobs + the class codec."""
+        return self.config.with_overrides(codec=codec)
 
     # -- workloads -------------------------------------------------------
 

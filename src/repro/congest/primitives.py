@@ -134,15 +134,16 @@ def send_items_to(
 
     This is how protocols pay the Θ(k / log n) price of large logical
     payloads (e.g. the OPT tables of Lemma 4.6): each item must fit the
-    budget on its own.  Returns the inboxes observed while streaming, so
-    callers can keep processing concurrent traffic.
+    budget on its own.  Returns a copy of each inbox observed while
+    streaming (the scheduler reuses inbox buffers), so callers can keep
+    processing concurrent traffic.
     """
     observed: List[Inbox] = []
     for item in items:
         ctx.send(target, (tag, item))
-        observed.append((yield))
+        observed.append(dict((yield)))
     ctx.send(target, (tag + "/end", None))
-    observed.append((yield))
+    observed.append(dict((yield)))
     return observed
 
 

@@ -188,6 +188,10 @@ INBOX_ORDERS = ("arrival", "shuffle", "sorted", "reversed")
 class Simulation:
     """One synchronous execution of a node program on a network graph.
 
+    ``budget`` is the per-edge per-round bit budget: an integer of at
+    least 1, with ``None`` (only ``None``) selecting
+    :func:`default_budget` of n.
+
     ``inbox_order`` controls the iteration order of each node's inbox dict:
 
     * ``"arrival"`` (default) — the order senders were stepped by the
@@ -227,8 +231,6 @@ class Simulation:
         inputs: Optional[Dict[Vertex, Dict[str, Any]]] = None,
         budget: Optional[int] = None,
         max_rounds: int = 10_000,
-        trace: bool = False,
-        trace_limit: int = 100_000,
         tracer: Optional[Tracer] = None,
         inbox_order: str = "arrival",
         seed: Optional[int] = None,
@@ -240,12 +242,22 @@ class Simulation:
             raise CongestError(
                 f"unknown inbox_order {inbox_order!r}; choose from {INBOX_ORDERS}"
             )
+        if budget is not None and (
+            not isinstance(budget, int) or isinstance(budget, bool)
+            or budget < 1
+        ):
+            raise CongestError(
+                f"budget must be an integer of at least 1 bit, not "
+                f"{budget!r}; None selects default_budget(n)"
+            )
         self._graph = graph
         self._program = program
         self._inputs = inputs or {}
         self._max_rounds = max_rounds
         n = graph.num_vertices()
-        self.metrics = RoundMetrics(budget_bits=budget or default_budget(n))
+        self.metrics = RoundMetrics(
+            budget_bits=default_budget(n) if budget is None else budget
+        )
         self._outgoing: Dict[Tuple[Vertex, Vertex], Payload] = {}
         self._sending_open = False
         self._inbox_order = inbox_order
@@ -261,9 +273,6 @@ class Simulation:
             self._injector = FaultInjector(faults)
         self._round_budget = self.metrics.budget_bits
         self.crashed: Dict[Vertex, int] = {}
-        self._trace_enabled = trace
-        self._trace_limit = trace_limit
-        self.trace: List[Tuple[int, Vertex, Vertex, Payload]] = []
         # Explicit tracer wins; otherwise pick up a process-installed one
         # (the REPRO_TRACE / ``repro trace`` path).  None = fully disabled.
         self.tracer = tracer if tracer is not None else current_tracer()
@@ -315,13 +324,6 @@ class Simulation:
             self._acc_max = bits
         if self.tracer is not None:
             self.tracer.on_send(sender, receiver, bits, payload)
-        if self._trace_enabled:
-            if len(self.trace) < self._trace_limit:
-                self.trace.append(
-                    (self.metrics.rounds, sender, receiver, payload)
-                )
-            else:
-                self.metrics.trace_truncated = True
 
     def _flush_round_metrics(self) -> None:
         """Fold the per-round message accumulators into metrics."""

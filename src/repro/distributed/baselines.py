@@ -15,7 +15,7 @@ conservative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Set, Tuple
 
 from ..congest import Inbox, NodeContext, node_program, ordered_inbox, run_protocol
 from ..errors import ProtocolError
@@ -76,7 +76,6 @@ class BaselineDecision:
 def gather_decide(
     graph: Graph,
     decide: Callable[[Graph], bool],
-    budget: Optional[int] = None,
 ) -> BaselineDecision:
     """Run the baseline on ``graph`` with local decision rule ``decide``."""
     if not graph.is_connected():
@@ -86,7 +85,6 @@ def gather_decide(
         graph,
         gather_and_decide_program(decide),
         inputs=inputs,
-        budget=budget,
         max_rounds=50 + 4 * graph.num_edges() + 2 * graph.num_vertices(),
     )
     verdicts = set(result.outputs.values())

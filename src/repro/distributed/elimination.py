@@ -30,7 +30,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 from ..congest import (
     Inbox,
     NodeContext,
-    default_budget,
     leader_election,
     node_program,
     run_protocol,
@@ -38,6 +37,7 @@ from ..congest import (
 from ..errors import DecompositionError, FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex
 from ..obs import maybe_phase
+from ..runconfig import RunConfig
 from ..treedepth import EliminationForest
 
 
@@ -212,7 +212,7 @@ def _elimination_max_rounds(graph: Graph, d: int) -> int:
 def build_elimination_tree(
     graph: Graph,
     d: int,
-    config=None,
+    config: Optional[RunConfig] = None,
 ) -> DistributedEliminationResult:
     """Run Algorithm 2 on ``graph`` with treedepth bound ``d``.
 
@@ -232,36 +232,16 @@ def build_elimination_tree(
     surviving induced subgraph, or raises
     :class:`~repro.errors.FaultToleranceExceeded`.
     """
-    from ..runconfig import RunConfig, resolve_tracer
-
     if not graph.is_connected():
         raise ProtocolError("CONGEST requires a connected network")
-    cfg = RunConfig.of(config)
-    tracer = resolve_tracer(cfg.trace)
-    inputs = {v: {"d": d} for v in graph.vertices()}
-    program = elimination_tree_program
-    run_budget = cfg.budget if cfg.budget is not None else default_budget(
-        graph.num_vertices()
+    program, run_kwargs = RunConfig.of(config).launch(
+        elimination_tree_program,
+        graph.num_vertices(),
+        _elimination_max_rounds(graph, d),
     )
-    max_rounds = _elimination_max_rounds(graph, d)
-    if cfg.retry is not None:
-        from ..faults import reliable_program
-
-        program = reliable_program(elimination_tree_program, cfg.retry)
-        run_budget = cfg.retry.physical_budget(run_budget)
-        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, "elimination"):
-        result = run_protocol(
-            graph,
-            program,
-            inputs=inputs,
-            budget=run_budget,
-            max_rounds=max_rounds,
-            tracer=tracer,
-            inbox_order=cfg.inbox_order,
-            seed=cfg.seed,
-            faults=cfg.faults,
-        )
+    inputs = {v: {"d": d} for v in graph.vertices()}
+    with maybe_phase(run_kwargs["tracer"], "elimination"):
+        result = run_protocol(graph, program, inputs=inputs, **run_kwargs)
     outputs: Dict[Vertex, EliminationOutput] = result.outputs
     accepted = all(out.status == "ok" for out in outputs.values())
     forest: Optional[EliminationForest] = None

@@ -3,8 +3,8 @@
 Pipeline (the paper's proof, executable):
 
 1. a low treedepth decomposition with parameter p = |V(H)| (Theorem 7.2;
-   simulated per DESIGN §4 — we charge the O(log n) rounds its distributed
-   construction costs, with the constant configurable);
+   simulated per DESIGN §4 — we charge the ceil(log2 n) rounds its
+   distributed construction costs);
 2. for every index set I of at most p parts, decide H-freeness of
    G_I = G[∪_{i∈I} V_i] with the Theorem 6.1 machinery — every connected
    component of G_I has treedepth at most the decomposition's bound, and
@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..algebra import compile_formula
 from ..errors import ProtocolError
 from ..expansion import LowTreedepthDecomposition, union_graph
 from ..graph import Graph
 from ..mso import formulas
-from ..runconfig import RunConfig
 from .model_checking import decide_pipeline
 
 
@@ -52,14 +50,12 @@ def decide_h_freeness(
     graph: Graph,
     pattern: Graph,
     decomposition: LowTreedepthDecomposition,
-    decomposition_round_constant: int = 1,
-    budget: Optional[int] = None,
 ) -> HFreenessResult:
     """Decide whether ``graph`` is ``pattern``-free using ``decomposition``.
 
-    ``pattern`` must be connected (the corollary's hypothesis).
-    ``decomposition_round_constant`` scales the charged O(log n) cost of
-    the distributed decomposition (Theorem 7.2's hidden constant).
+    ``pattern`` must be connected (the corollary's hypothesis).  The
+    distributed decomposition is charged ceil(log2 n) rounds: Theorem
+    7.2's O(log n) with its hidden constant taken as 1.
     """
     if not pattern.is_connected():
         raise ProtocolError("Corollary 7.3 requires a connected pattern H")
@@ -69,12 +65,9 @@ def decide_h_freeness(
             f"decomposition parameter {decomposition.p} < |V(H)| = {p}"
         )
     n = graph.num_vertices()
-    decomposition_rounds = decomposition_round_constant * max(
-        1, math.ceil(math.log2(max(2, n)))
-    )
+    decomposition_rounds = max(1, math.ceil(math.log2(max(2, n))))
     formula = formulas.contains_subgraph(pattern)
     automaton = compile_formula(formula, ())
-    config = RunConfig(budget=budget)
 
     # Treedepth budget for the per-union runs: the elimination-tree
     # protocol needs d with 2^d >= depth; td(G_I) <= bound, so d = bound
@@ -100,7 +93,7 @@ def decide_h_freeness(
             outcome = None
             attempt_rounds = 0
             for d in range(1, bound + 1):
-                outcome = decide_pipeline(automaton, piece, d=d, config=config)
+                outcome = decide_pipeline(automaton, piece, d=d)
                 attempt_rounds += outcome.total_rounds
                 if not outcome.treedepth_exceeded:
                     break

@@ -33,7 +33,6 @@ from ..congest import (
     NodeContext,
     NodeProgram,
     SimulationResult,
-    default_budget,
     node_program,
     run_protocol,
 )
@@ -41,7 +40,7 @@ from ..errors import FaultToleranceExceeded, ProtocolError, ReproError
 from ..graph import Graph, Vertex, canonical_edge
 from ..mso import syntax as sx
 from ..obs import maybe_phase
-from ..runconfig import RunConfig, resolve_tracer
+from ..runconfig import RunConfig
 from .elimination import DistributedEliminationResult, build_elimination_tree
 
 
@@ -305,11 +304,10 @@ def run_checking(
     to the same adversary; ``retry`` wraps both in the redundancy-lockstep
     synchronizer, scaling the budget and ``max_rounds``; ``codec`` shares
     class ids across runs; ``budget`` defaults to
-    :func:`~repro.congest.default_budget`.
+    :func:`~repro.congest.default_budget`.  Both protocols are launched
+    through :meth:`RunConfig.launch <repro.runconfig.RunConfig.launch>`.
     """
     cfg = RunConfig.of(config)
-    tracer = resolve_tracer(cfg.trace)
-    cfg = cfg.with_overrides(trace=tracer)
     elim = build_elimination_tree(graph, d, config=cfg)
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -321,28 +319,11 @@ def run_checking(
     if not elim.accepted:
         return CheckingRun(elim, None, codec)
     inputs = node_inputs_from_elimination(graph, elim, assignment, automaton.scope)
-    program = make_program(codec)
-    budget = cfg.budget if cfg.budget is not None else default_budget(
-        graph.num_vertices()
+    program, run_kwargs = cfg.launch(
+        make_program(codec), graph.num_vertices(), max_rounds
     )
-    if cfg.retry is not None:
-        from ..faults import reliable_program
-
-        program = reliable_program(program, cfg.retry)
-        budget = cfg.retry.physical_budget(budget)
-        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, phase):
-        result = run_protocol(
-            graph,
-            program,
-            inputs=inputs,
-            budget=budget,
-            max_rounds=max_rounds,
-            tracer=tracer,
-            inbox_order=cfg.inbox_order,
-            seed=cfg.seed,
-            faults=cfg.faults,
-        )
+    with maybe_phase(run_kwargs["tracer"], phase):
+        result = run_protocol(graph, program, inputs=inputs, **run_kwargs)
     if result.crashed:
         raise FaultToleranceExceeded(
             f"nodes {sorted(map(repr, result.crashed))} crashed during the "

@@ -2,44 +2,31 @@
 
 Every pipeline in :mod:`repro.distributed` and the :class:`repro.api.Session`
 facade share the same execution knobs — seed, inbox order, fault plan,
-retry policy, bit budget, tracing, automaton cache, class codec.
+retry policy, bit budget, tracer, class codec.
 :class:`RunConfig` is the single place those knobs are named and
 validated: pipelines take one as ``config=``, and Session's keyword
 surface funnels through :meth:`RunConfig.from_kwargs`, so an invalid
 ``inbox_order=`` fails identically (and typed) everywhere.
+:meth:`RunConfig.launch` is the single place they are turned into one
+protocol run (tracer, budget, reliability wrapping).
 
 ``to_json`` / ``from_json`` are the replay contract:
 ``Result.replay_args`` and fuzz-corpus replay files store exactly this
 encoding, and :meth:`repro.api.Session.from_replay` reconstructs a
 byte-identical run from it.  Only the replayable fields are serialized —
-``trace`` / ``cache`` / ``codec`` hold live objects and stay local.
+``trace`` / ``codec`` hold live objects and stay local.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from .congest.runtime import INBOX_ORDERS
+from .congest.runtime import INBOX_ORDERS, NodeProgram, default_budget
 from .errors import ReproError
+from .obs import Tracer, current_tracer
 
-__all__ = ["RunConfig", "resolve_tracer"]
-
-
-def resolve_tracer(trace: Any) -> Optional[Any]:
-    """A concrete tracer for a ``RunConfig.trace`` value.
-
-    Pipeline semantics: an explicit :class:`~repro.obs.Tracer` records
-    into itself, ``True`` requests a fresh one, anything falsy falls back
-    to the process-installed tracer (or none).
-    """
-    from .obs import Tracer, current_tracer
-
-    if isinstance(trace, Tracer):
-        return trace
-    if trace:
-        return Tracer()
-    return current_tracer()
+__all__ = ["RunConfig"]
 
 #: The replayable subset of fields, in their canonical JSON order.
 REPLAY_FIELDS = ("seed", "inbox_order", "faults", "retry", "budget")
@@ -55,11 +42,10 @@ class RunConfig:
       knobs (see :class:`repro.congest.Simulation`);
     * ``faults`` / ``retry`` — a :class:`repro.faults.FaultPlan`
       adversary and :class:`repro.faults.RetryPolicy` reliability layer;
-    * ``budget`` — per-edge per-round bit budget override;
-    * ``trace`` — ``True`` for a fresh :class:`repro.obs.Tracer`, or a
-      Tracer instance to record into;
-    * ``cache`` — an :class:`repro.algebra.cache.AutomatonCache`
-      (Session-level; pipelines receive compiled automata directly);
+    * ``budget`` — per-edge per-round bit budget override (at least 1;
+      ``None`` means :func:`~repro.congest.default_budget`);
+    * ``trace`` — a :class:`repro.obs.Tracer` to record into (``None``
+      falls back to the process-installed tracer, if any);
     * ``codec`` — a :class:`repro.distributed.model_checking.ClassCodec`
       to share class ids across runs (pipeline-level).
     """
@@ -69,8 +55,7 @@ class RunConfig:
     faults: Optional[Any] = None
     retry: Optional[Any] = None
     budget: Optional[int] = None
-    trace: Any = None
-    cache: Optional[Any] = None
+    trace: Optional[Tracer] = None
     codec: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -78,6 +63,19 @@ class RunConfig:
             raise ReproError(
                 f"unknown inbox order {self.inbox_order!r}; "
                 f"choose from {INBOX_ORDERS}"
+            )
+        if self.budget is not None and (
+            not isinstance(self.budget, int)
+            or isinstance(self.budget, bool)
+            or self.budget < 1
+        ):
+            raise ReproError(
+                f"budget must be an integer of at least 1 bit, not "
+                f"{self.budget!r}; None selects the default O(log n) budget"
+            )
+        if self.trace is not None and not isinstance(self.trace, Tracer):
+            raise ReproError(
+                f"trace must be a Tracer or None, not {self.trace!r}"
             )
 
     # -- construction ----------------------------------------------------
@@ -128,6 +126,37 @@ class RunConfig:
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         """A copy with ``overrides`` applied (re-validated)."""
         return replace(self, **overrides)
+
+    # -- protocol launch --------------------------------------------------
+
+    def launch(
+        self, program: NodeProgram, n: int, max_rounds: int
+    ) -> Tuple[NodeProgram, Dict[str, Any]]:
+        """``program`` and the :func:`~repro.congest.run_protocol` keywords
+        that run it on an ``n``-node network under this config.
+
+        The tracer is ``trace`` or the process-installed one; the budget
+        is ``budget`` or :func:`~repro.congest.default_budget` of ``n``.
+        Under ``retry`` the program is wrapped in the redundancy-lockstep
+        synchronizer (:func:`repro.faults.reliable_program`) and the
+        budget and ``max_rounds`` are scaled to its physical cost.
+        """
+        budget = default_budget(n) if self.budget is None else self.budget
+        if self.retry is not None:
+            from .faults import reliable_program
+
+            program = reliable_program(program, self.retry)
+            budget = self.retry.physical_budget(budget)
+            max_rounds = self.retry.physical_max_rounds(max_rounds)
+        return program, {
+            "budget": budget,
+            "max_rounds": max_rounds,
+            "tracer": self.trace if self.trace is not None
+            else current_tracer(),
+            "inbox_order": self.inbox_order,
+            "seed": self.seed,
+            "faults": self.faults,
+        }
 
     # -- replay serialization ---------------------------------------------
 

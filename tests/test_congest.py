@@ -15,6 +15,7 @@ from repro.congest import (
 from repro.errors import CongestError, MessageTooLargeError, ProtocolError
 from repro.graph import Graph
 from repro.graph import generators as gen
+from repro.obs import SendEvent, Tracer
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +87,22 @@ def test_oversized_message_rejected():
 
     with pytest.raises(MessageTooLargeError):
         run_protocol(gen.path(2), program)
+
+
+def test_budget_below_one_rejected():
+    # Only None selects default_budget(n); 0, negative and non-integer
+    # budgets are refused instead of silently running with the default
+    # (or with a float budget).
+    def program(ctx):
+        yield
+        return ctx.node
+
+    for bad in (0, -5, 48.5, "64", True):
+        with pytest.raises(CongestError, match="at least 1"):
+            run_protocol(gen.path(4), program, budget=bad)
+    assert run_protocol(gen.path(4), program, budget=1).metrics.budget_bits == 1
+    assert run_protocol(gen.path(4), program).metrics.budget_bits == \
+        default_budget(4)
 
 
 def test_send_outside_round_rejected():
@@ -175,15 +192,15 @@ def test_trace_records_messages():
         inbox = yield
         return len(inbox)
 
-    sim = Simulation(gen.path(3), program, trace=True)
-    result = sim.run()
+    tracer = Tracer()
+    result = Simulation(gen.path(3), program, tracer=tracer).run()
     assert result.outputs[1] == 2
+    sends = [e for e in tracer.events if isinstance(e, SendEvent)]
     # 4 directed sends in round 1.
-    assert len(sim.trace) == 4
-    rounds = {entry[0] for entry in sim.trace}
-    assert rounds == {1}
-    senders = sorted(entry[1] for entry in sim.trace)
-    assert senders == [0, 1, 1, 2]
+    assert len(sends) == 4
+    assert {e.round for e in sends} == {1}
+    assert sorted(e.sender for e in sends) == [0, 1, 1, 2]
+    assert not tracer.truncated
 
 
 def test_trace_respects_limit():
@@ -193,9 +210,10 @@ def test_trace_respects_limit():
             yield
         return None
 
-    sim = Simulation(gen.path(2), program, trace=True, trace_limit=3)
-    sim.run()
-    assert len(sim.trace) == 3
+    tracer = Tracer(max_events=3)
+    Simulation(gen.path(2), program, tracer=tracer).run()
+    assert len(tracer.events) == 3
+    assert tracer.truncated
 
 
 def test_round_number_visible_to_nodes():

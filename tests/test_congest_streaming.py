@@ -48,6 +48,26 @@ def test_streaming_between_two_nodes():
     assert result.rounds >= 4
 
 
+def test_streaming_returns_per_round_inbox_copies():
+    # Node 0 ticks to node 1 every round while node 1 streams three items
+    # plus the end marker.  The scheduler refills one inbox dict per node
+    # in place, so each returned inbox must be that round's own copy.
+    def program(ctx):
+        if ctx.node == 1:
+            observed = yield from send_items_to(
+                ctx, 0, [(10,), (20,), (30,)], tag="data"
+            )
+            return [inbox.get(0) for inbox in observed]
+        for r in range(4):
+            ctx.send(1, ("tick", r))
+            yield
+        yield
+        return None
+
+    result = run_protocol(gen.path(2), program)
+    assert result.outputs[1] == [("tick", r) for r in range(4)]
+
+
 def test_streaming_empty_list_sends_only_end_marker():
     def program(ctx):
         if ctx.node == 1:

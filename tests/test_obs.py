@@ -338,14 +338,17 @@ def test_trace_truncation_is_surfaced():
             yield
         return None
 
-    sim = Simulation(gen.path(2), program, trace=True, trace_limit=3)
-    result = sim.run()
-    assert len(sim.trace) == 3  # legacy behavior preserved
-    assert result.metrics.trace_truncated
-    assert "trace_truncated=True" in result.metrics.summary()
+    tracer = Tracer(max_events=3)
+    Simulation(gen.path(2), program, tracer=tracer).run()
+    assert len(tracer.events) == 3  # the cap holds
+    assert tracer.truncated
+    assert "truncated=True" in tracer.summary()
 
-    sim2 = Simulation(gen.path(2), program, trace=True)
-    assert not sim2.run().metrics.trace_truncated
+    full = Tracer()
+    Simulation(gen.path(2), program, tracer=full).run()
+    assert not full.truncated
+    assert "truncated=True" not in full.summary()
+    assert sum(isinstance(e, SendEvent) for e in full.events) == 10
 
 
 def test_per_round_bits_and_peaks():

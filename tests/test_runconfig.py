@@ -2,9 +2,10 @@
 
 Covers the from_kwargs funnel (None-means-default, the
 config-vs-kwargs clash) that Session's keywords go through,
-inbox-order validation, the JSON replay round-trip (including refusal
-of retired options such as ``engine``), and the Session/pipeline
-integration points: pipelines take run knobs only as ``config=``.
+inbox-order and budget validation, the launch policy, the JSON replay
+round-trip (including refusal of retired options such as ``engine``),
+and the Session/pipeline integration points: pipelines take run knobs
+only as ``config=``.
 """
 
 import dataclasses
@@ -13,26 +14,37 @@ import json
 
 import pytest
 
-from repro.algebra import compile_formula
+from repro.algebra import AutomatonCache, compile_formula
 from repro.api import Result, RunConfig, Session
 from repro.distributed import (
     build_elimination_tree,
     count_pipeline,
+    decide_h_freeness,
     decide_pipeline,
+    gather_decide,
+    grid_decomposition_distributed,
     optimize_pipeline,
     optmarked_distributed,
 )
-from repro.congest import run_protocol
+from repro.congest import Simulation, run_protocol
 from repro.errors import ReproError
+from repro.expansion import grid_residue_decomposition
 from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import generators as gen
+from repro.graph import properties as props
 from repro.mso import formulas
+from repro.obs import Tracer, current_tracer
 from repro.runconfig import REPLAY_FIELDS
 
 #: The run knobs pipelines used to take one keyword each.
 PER_KNOB_KEYWORDS = (
     "budget", "tracer", "inbox_order", "seed", "faults", "retry", "codec",
 )
+
+
+def prog(ctx):
+    """A node program that halts at once."""
+    return iter(())
 
 
 def test_defaults():
@@ -59,6 +71,22 @@ def test_unknown_engine_typed():
 def test_unknown_inbox_order():
     with pytest.raises(ReproError):
         RunConfig(inbox_order="chaotic")
+
+
+def test_budget_below_one_rejected():
+    # Only None means "the default budget"; 0 and negatives are typed
+    # errors, never a silent fallback.
+    for bad in (0, -5):
+        with pytest.raises(ReproError, match="at least 1"):
+            RunConfig(budget=bad)
+        with pytest.raises(ReproError, match="at least 1"):
+            Session(gen.path(4), 2, budget=bad)
+    # A replay file is outside input: a non-integer budget is refused
+    # with the same typed error, not a TypeError or a float budget.
+    for bad in ("64", 48.5, True):
+        with pytest.raises(ReproError, match="integer"):
+            RunConfig.from_json({"budget": bad})
+    assert RunConfig(budget=1).budget == 1
 
 
 def test_from_kwargs_none_means_default():
@@ -108,7 +136,7 @@ def test_from_json_rejects_unknown_keys():
 
 
 def test_from_json_rejects_nonreplay_fields():
-    # trace/cache/codec hold live objects and must never round-trip.
+    # trace/codec hold live objects and must never round-trip.
     assert set(RunConfig(seed=1).to_json()) == set(REPLAY_FIELDS)
     with pytest.raises(ReproError):
         RunConfig.from_json({"trace": True})
@@ -172,6 +200,52 @@ def test_pipelines_have_no_per_knob_keywords():
             decide_pipeline(automaton, gen.path(4), 2, **{knob: None})
     with pytest.raises(ReproError, match="must be a RunConfig"):
         decide_pipeline(automaton, gen.path(4), 2, config={"seed": 1})
+    # Knobs no caller set, or that the receiving layer ignored, are gone.
+    for knob in ("trace", "trace_limit"):
+        with pytest.raises(TypeError, match=knob):
+            Simulation(gen.path(2), prog, **{knob: None})
+    grid = gen.grid(3, 3)
+    for knob in ("budget", "tracer", "inbox_order", "seed", "faults"):
+        with pytest.raises(TypeError, match=knob):
+            grid_decomposition_distributed(grid, 3, 3, 2, **{knob: None})
+    with pytest.raises(TypeError, match="budget"):
+        gather_decide(gen.path(4), props.is_acyclic, budget=None)
+    decomposition = grid_residue_decomposition(3, 3, p=3)
+    for knob in ("budget", "decomposition_round_constant"):
+        with pytest.raises(TypeError, match=knob):
+            decide_h_freeness(grid, gen.triangle(), decomposition,
+                              **{knob: None})
+    # RunConfig holds a tracer, never a request for one, and no cache.
+    with pytest.raises(ReproError, match="Tracer"):
+        RunConfig(trace=True)
+    with pytest.raises(TypeError, match="cache"):
+        RunConfig(cache=AutomatonCache(persist=False))
+    with pytest.raises(ReproError, match="unknown run configuration"):
+        RunConfig.from_kwargs(cache=None)
+    assert not hasattr(Simulation(gen.path(2), prog), "trace")
+    tracer = Tracer()
+    assert RunConfig(trace=tracer).trace is tracer
+
+
+def test_launch_owns_the_run_policy():
+    # One helper turns a config into a protocol run: tracer, default
+    # budget, and the retry layer's physical budget and round cap.
+    program, kwargs = RunConfig(seed=3, inbox_order="sorted").launch(
+        prog, 16, 100
+    )
+    assert program is prog
+    assert kwargs == {"budget": 48, "max_rounds": 100,
+                      "tracer": current_tracer(), "inbox_order": "sorted",
+                      "seed": 3, "faults": None}
+    tracer = Tracer()
+    retry = RetryPolicy(attempts=2)
+    program, kwargs = RunConfig(budget=64, retry=retry, trace=tracer).launch(
+        prog, 16, 100
+    )
+    assert program is not prog
+    assert kwargs["budget"] == retry.physical_budget(64)
+    assert kwargs["max_rounds"] == retry.physical_max_rounds(100)
+    assert kwargs["tracer"] is tracer
 
 
 def test_pipeline_and_session_share_run_defaults():
